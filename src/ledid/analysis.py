@@ -91,14 +91,9 @@ def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float 
             f"plane distance must be in (0, {scenario.room.height_m}] m, got {plane_distance_m}")
     if not 0.0 < threshold:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    z = scenario.room.height_m - plane_distance_m
     entries = []
     for tag in scenario.tags():
-        bers = [
-            evaluate_link(scenario, Vec3(lum.pose.position.x, lum.pose.position.y, z), tag).ber
-            for lum in scenario.luminaires_for(tag)
-        ]
-        best = min(bers)
+        best = min(foot_bers(scenario, plane_distance_m, tag))
         entries.append(TagResolvability(tag_id=tag, min_ber_under_lamp=best,
                                         resolvable=best <= threshold))
     return ResolvabilityReport(
@@ -107,6 +102,17 @@ def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float 
         tags=tuple(entries),
         critical_overlap_distance_m=scenario_critical_distance(scenario),
     )
+
+
+def foot_bers(scenario: Scenario, plane_distance_m: float, tag_id: str) -> list[float]:
+    """Error rate of ``tag_id`` at the foot of each of its lamps on a plane.
+
+    The plane lies ``plane_distance_m`` below the ceiling; the list follows
+    the tag's luminaires in scenario order.
+    """
+    z = scenario.room.height_m - plane_distance_m
+    return [evaluate_link(scenario, Vec3(lum.pose.position.x, lum.pose.position.y, z), tag_id).ber
+            for lum in scenario.luminaires_for(tag_id)]
 
 
 def scenario_critical_distance(scenario: Scenario) -> float:

@@ -30,7 +30,7 @@ def lambertian_order(semi_angle_deg: float) -> float:
     """
     if not 0.0 < semi_angle_deg < 90.0:
         raise ParameterError(
-            f"semi-angle must be in (0, 90) degrees, got {semi_angle_deg}")
+            f"semi_angle_deg: must be in (0, 90) degrees, got {semi_angle_deg}")
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
@@ -44,7 +44,7 @@ class EmitterModel:
 
     def __post_init__(self) -> None:
         if not self.power_w > 0.0:
-            raise ParameterError(f"emitter power must be positive, got {self.power_w}")
+            raise ParameterError(f"power_w: must be positive, got {self.power_w}")
         object.__setattr__(self, "lambertian_order", lambertian_order(self.semi_angle_deg))
 
     @classmethod
@@ -72,15 +72,15 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if not self.area_m2 > 0.0:
-            raise ParameterError(f"detector area must be positive, got {self.area_m2}")
+            raise ParameterError(f"area_m2: must be positive, got {self.area_m2}")
         if not 0.0 < self.fov_deg <= 90.0:
-            raise ParameterError(f"field of view must be in (0, 90] degrees, got {self.fov_deg}")
+            raise ParameterError(f"fov_deg: must be in (0, 90] degrees, got {self.fov_deg}")
         if not self.gain > 0.0:
-            raise ParameterError(f"detector gain must be positive, got {self.gain}")
+            raise ParameterError(f"gain: must be positive, got {self.gain}")
         if not self.responsivity_a_per_w > 0.0:
-            raise ParameterError(f"responsivity must be positive, got {self.responsivity_a_per_w}")
+            raise ParameterError(f"responsivity_a_per_w: must be positive, got {self.responsivity_a_per_w}")
         if not self.bandwidth_hz > 0.0:
-            raise ParameterError(f"bandwidth must be positive, got {self.bandwidth_hz}")
+            raise ParameterError(f"bandwidth_hz: must be positive, got {self.bandwidth_hz}")
 
 
 def radiant_intensity(theta_rad: float, emitter: EmitterModel) -> float:

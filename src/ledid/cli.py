@@ -16,15 +16,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import coverage, resolvability
+from .analysis import coverage, foot_bers, resolvability
 from .errors import LedIdError
 from .export import write_grid_csv, write_grid_pgm
-from .geometry import Vec3
-from .link import evaluate_link
 from .oracle import agreement_report
 from .scenario import GridSpec, Scenario, evaluate_grid, load_scenario_with_defaults
 
 _DEFAULT_SNR_LIST = "0,1,2,4,8,12,16"
+_WORKERS_HELP = "accepted for compatibility (>= 1); changes neither output nor speed (default 1)"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64, help="cells per axis (default 64)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--heatmap", default=None, help="optional PGM output path")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("sweep", help="compute BER grids for several plane distances")
@@ -76,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated plane distances in cm, e.g. 30,40,50")
     p.add_argument("--res", type=int, default=64)
     p.add_argument("--out", required=True, help="output directory for the per-plane CSVs")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("coverage", help="maximum reliable read distance and angle for a tag")
@@ -162,22 +161,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lamps = scenario.luminaires_for(args.tag)
     for plane_cm in plane_values:
         spec = _grid_spec(scenario, plane_cm, args.res)
         grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
         csv_path = out_dir / f"{args.tag}_plane{plane_cm:g}cm.csv"
         write_grid_csv(grid, csv_path)
-        # Summary: error rate at the perpendicular foot of each of the
-        # tag's lamps, reduced to min and median across those lamps.
-        z = scenario.room.height_m - plane_cm / 100.0
-        foot_bers = sorted(
-            evaluate_link(scenario, Vec3(l.pose.position.x, l.pose.position.y, z), args.tag).ber
-            for l in lamps
-        )
-        n = len(foot_bers)
-        median = foot_bers[n // 2] if n % 2 else 0.5 * (foot_bers[n // 2 - 1] + foot_bers[n // 2])
-        print(f"plane_cm={plane_cm:g} csv={csv_path} min_ber={foot_bers[0]!r} median_ber={median!r}")
+        # Summary: min and median of the error rate at the foot of each lamp.
+        bers = sorted(foot_bers(scenario, plane_cm / 100.0, args.tag))
+        n = len(bers)
+        median = bers[n // 2] if n % 2 else 0.5 * (bers[n // 2 - 1] + bers[n // 2])
+        print(f"plane_cm={plane_cm:g} csv={csv_path} min_ber={bers[0]!r} median_ber={median!r}")
     return 0
 
 

@@ -45,9 +45,9 @@ class ModulationParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mod_index <= 1.0:
-            raise ParameterError(f"modulation index must be in (0, 1], got {self.mod_index}")
+            raise ParameterError(f"mod_index: must be in (0, 1], got {self.mod_index}")
         if not self.baseband_power > 0.0:
-            raise ParameterError(f"baseband power must be positive, got {self.baseband_power}")
+            raise ParameterError(f"baseband_power: must be positive, got {self.baseband_power}")
 
 
 @dataclass(frozen=True)

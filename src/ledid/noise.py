@@ -33,8 +33,8 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         for name in ("background_current_a", "i2", "thermal_a2", "isi_a2"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"noise parameter {name} must be >= 0, got {getattr(self, name)}")
+            if not getattr(self, name) >= 0.0:
+                raise ParameterError(f"{name}: must be >= 0, got {getattr(self, name)}")
 
 
 def shot_noise_variance(received_power_w: float, detector: DetectorModel, params: NoiseParams) -> float:

@@ -6,8 +6,8 @@ in x and y (x in [-width/2, width/2], y in [-depth/2, depth/2]) with
 z in [0, height]; keeping symmetric layouts numerically symmetric about
 zero makes the mirror-symmetry guarantees of the grid engine exact.
 
-Scenario documents are YAML with a fixed key set (unknown keys are
-rejected so typos cannot silently fall back to defaults):
+Scenario documents are YAML with a fixed key set (unknown and repeated
+keys are rejected so typos cannot silently fall back to defaults):
 
     metadata:             optional: name, description
     room:                 width_m, depth_m, height_m
@@ -25,8 +25,8 @@ Values in parentheses are the defaults applied when a key is omitted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -39,6 +39,9 @@ from .noise import NoiseParams
 
 _DOWN = Vec3(0.0, 0.0, -1.0)
 _UP = Vec3(0.0, 0.0, 1.0)
+# Tags go verbatim into CSV fields and output file names, so they are kept
+# to characters that need no quoting, escaping or encoding in either.
+_TAG = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class Room:
     def __post_init__(self) -> None:
         for name in ("width_m", "depth_m", "height_m"):
             if not getattr(self, name) > 0.0:
-                raise ParameterError(f"room {name} must be positive, got {getattr(self, name)}")
+                raise ParameterError(f"{name}: must be positive, got {getattr(self, name)}")
 
     def contains(self, point: Vec3) -> bool:
         return (
@@ -88,8 +91,9 @@ class Scenario:
         if not self.luminaires:
             raise ScenarioValidationError("scenario must contain at least one luminaire")
         for i, lum in enumerate(self.luminaires):
-            if not isinstance(lum.tag, str) or not lum.tag:
-                raise ScenarioValidationError(f"luminaire[{i}].tag: must be a non-empty string")
+            if not isinstance(lum.tag, str) or not _TAG.fullmatch(lum.tag):
+                raise ScenarioValidationError(
+                    f"luminaire[{i}].tag: must match {_TAG.pattern}, got {lum.tag!r}")
             if not self.room.contains(lum.pose.position):
                 raise ScenarioValidationError(
                     f"luminaire[{i}]: position must lie inside the room volume")
@@ -168,8 +172,9 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
     """Evaluate the link budget for ``data_tag_id`` at every cell center.
 
     The result is deterministic: each cell is a pure function of the
-    scenario and its center coordinate, so the worker count and evaluation
-    order cannot change a single bit of the output.
+    scenario and its center coordinate. ``workers`` is accepted for
+    compatibility and ignored; cells are evaluated on the calling thread,
+    so it changes neither the output nor the speed.
     """
     scenario.luminaires_for(data_tag_id)
     room = scenario.room
@@ -185,17 +190,8 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
     z = room.height_m - spec.plane_distance_m
     xs = _cell_centers(spec.x_range[0], spec.x_range[1], spec.resolution)
     ys = _cell_centers(spec.y_range[0], spec.y_range[1], spec.resolution)
-
-    def row(iy: int) -> tuple[LinkBudget, ...]:
-        y = ys[iy]
-        return tuple(evaluate_link(scenario, Vec3(x, y, z), data_tag_id) for x in xs)
-
-    if workers <= 1:
-        rows = [row(iy) for iy in range(len(ys))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(len(ys))))
-    return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys, cells=tuple(rows))
+    cells = tuple(tuple(evaluate_link(scenario, Vec3(x, y, z), data_tag_id) for x in xs) for y in ys)
+    return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys, cells=cells)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -209,96 +205,67 @@ def load_scenario_file(path: str | Path) -> Scenario:
     return load_scenario(Path(path).read_text(encoding="utf-8"))
 
 
+def _model_keys(model: type) -> tuple[tuple[str, object], ...]:
+    return tuple((f.name, f.default) for f in fields(model) if f.init)
+
+
+# (section, required, keys): each section's keys in document order with
+# their defaults, MISSING marking a required key. Keys named after a
+# model's fields take that model's defaults, so each default lives in one
+# place; the models' own checks are the only physical constraints.
+_SCHEMA = (
+    ("metadata", False, (("name", ""), ("description", ""))),
+    ("room", True, _model_keys(Room)),
+    ("luminaire", True, (("tag", MISSING), ("x_m", MISSING), ("y_m", MISSING), ("z_m", MISSING))
+     + _model_keys(EmitterModel) + _model_keys(ModulationParams)),
+    ("detector", True, _model_keys(DetectorModel)),
+    ("noise", False, _model_keys(NoiseParams)),
+)
+# Keys holding text; every other key holds a number. Text defaults are
+# descriptive, not physics, so they are not reported as applied.
+_TEXT_KEYS = frozenset(("name", "description", "tag"))
+
+
+class _DocumentLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a mapping key given twice is an error."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.constructed_objects[key_node]
+                if key in seen:
+                    raise ScenarioParseError(
+                        f"duplicate key {key!r} at line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return mapping
+
+
 def load_scenario_with_defaults(text: str) -> tuple[Scenario, tuple[str, ...]]:
     """Like load_scenario, also reporting which optional keys were defaulted."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_DocumentLoader)
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises ValueError for an integer too long to convert.
         raise ScenarioParseError(f"document is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("top level: expected a mapping of sections")
+    values, applied = _read_document(doc)
 
-    _reject_unknown(doc, ("metadata", "room", "luminaire", "detector", "noise"), "top level")
-    applied: list[str] = []
-
-    meta = _mapping(doc, "metadata", required=False)
-    _reject_unknown(meta, ("name", "description"), "metadata")
-    name = _string(meta, "name", "metadata", default="")
-    description = _string(meta, "description", "metadata", default="")
-
-    room_map = _mapping(doc, "room", required=True)
-    _reject_unknown(room_map, ("width_m", "depth_m", "height_m"), "room")
-    width = _number(room_map, "width_m", "room")
-    depth = _number(room_map, "depth_m", "room")
-    height = _number(room_map, "height_m", "room")
-    for key, value in (("room.width_m", width), ("room.depth_m", depth), ("room.height_m", height)):
-        _validate(value > 0.0, key, "must be positive")
-    room = Room(width, depth, height)
-
-    if "luminaire" not in doc:
-        raise ScenarioParseError("luminaire: missing required section")
-    lum_list = doc["luminaire"]
-    if not isinstance(lum_list, list) or not lum_list:
-        raise ScenarioParseError("luminaire: expected a non-empty list of entries")
-    luminaire_keys = ("tag", "x_m", "y_m", "z_m", "power_w", "semi_angle_deg",
-                      "mod_index", "baseband_power")
+    room = _build("room.", Room, **values["room"])
     luminaires = []
-    for i, entry in enumerate(lum_list):
+    for i, entry in enumerate(values["luminaire"]):
         path = f"luminaire[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioParseError(f"{path}: expected a mapping")
-        _reject_unknown(entry, luminaire_keys, path)
-        tag = _string(entry, "tag", path)
-        _validate(bool(tag), f"{path}.tag", "must be a non-empty string")
-        x = _number(entry, "x_m", path)
-        y = _number(entry, "y_m", path)
-        z = _number(entry, "z_m", path)
-        power = _number(entry, "power_w", path)
-        semi = _number(entry, "semi_angle_deg", path)
-        mod_index = _number(entry, "mod_index", path, default=1.0, applied=applied)
-        baseband = _number(entry, "baseband_power", path, default=0.5, applied=applied)
-        _validate(power > 0.0, f"{path}.power_w", "must be positive")
-        _validate(0.0 < semi < 90.0, f"{path}.semi_angle_deg", "must be in (0, 90) degrees")
-        _validate(0.0 < mod_index <= 1.0, f"{path}.mod_index", "must be in (0, 1]")
-        _validate(baseband > 0.0, f"{path}.baseband_power", "must be positive")
-        position = Vec3(x, y, z)
-        _validate(room.contains(position), path, "position must lie inside the room volume")
+        position = _build(f"{path}: ", Vec3, entry["x_m"], entry["y_m"], entry["z_m"])
         luminaires.append(Luminaire(
-            tag=tag,
+            tag=entry["tag"],
             pose=Pose(position, _DOWN),
-            emitter=EmitterModel(power_w=power, semi_angle_deg=semi),
-            modulation=ModulationParams(mod_index=mod_index, baseband_power=baseband),
+            emitter=_build(f"{path}.", EmitterModel, entry["power_w"], entry["semi_angle_deg"]),
+            modulation=_build(f"{path}.", ModulationParams, entry["mod_index"], entry["baseband_power"]),
         ))
-
-    det_map = _mapping(doc, "detector", required=True)
-    _reject_unknown(det_map, ("area_m2", "fov_deg", "gain", "responsivity_a_per_w", "bandwidth_hz"),
-                    "detector")
-    area = _number(det_map, "area_m2", "detector")
-    fov = _number(det_map, "fov_deg", "detector")
-    gain = _number(det_map, "gain", "detector")
-    responsivity = _number(det_map, "responsivity_a_per_w", "detector", default=0.54, applied=applied)
-    bandwidth = _number(det_map, "bandwidth_hz", "detector", default=1.0e4, applied=applied)
-    _validate(area > 0.0, "detector.area_m2", "must be positive")
-    _validate(0.0 < fov <= 90.0, "detector.fov_deg", "must be in (0, 90] degrees")
-    _validate(gain > 0.0, "detector.gain", "must be positive")
-    _validate(responsivity > 0.0, "detector.responsivity_a_per_w", "must be positive")
-    _validate(bandwidth > 0.0, "detector.bandwidth_hz", "must be positive")
-    detector = DetectorModel(area_m2=area, fov_deg=fov, gain=gain,
-                             responsivity_a_per_w=responsivity, bandwidth_hz=bandwidth)
-
-    noise_map = _mapping(doc, "noise", required=False)
-    _reject_unknown(noise_map, ("background_current_a", "i2", "thermal_a2", "isi_a2"), "noise")
-    background = _number(noise_map, "background_current_a", "noise", default=0.0, applied=applied)
-    i2 = _number(noise_map, "i2", "noise", default=0.56, applied=applied)
-    thermal = _number(noise_map, "thermal_a2", "noise", default=0.0, applied=applied)
-    isi = _number(noise_map, "isi_a2", "noise", default=0.0, applied=applied)
-    for key, value in (("noise.background_current_a", background), ("noise.i2", i2),
-                       ("noise.thermal_a2", thermal), ("noise.isi_a2", isi)):
-        _validate(value >= 0.0, key, "must be >= 0")
-    noise = NoiseParams(background_current_a=background, i2=i2, thermal_a2=thermal, isi_a2=isi)
-
-    scenario = Scenario(room=room, luminaires=tuple(luminaires), detector=detector,
-                        receiver_axis=_UP, noise=noise, name=name, description=description)
+    scenario = Scenario(room=room, luminaires=tuple(luminaires),
+                        detector=_build("detector.", DetectorModel, **values["detector"]),
+                        noise=_build("noise.", NoiseParams, **values["noise"]),
+                        name=values["metadata"]["name"], description=values["metadata"]["description"])
     return scenario, tuple(applied)
 
 
@@ -350,50 +317,70 @@ def builtin_scenario_path(name: str) -> Path:
     return path
 
 
+def _read_document(doc: object) -> tuple[dict, list[str]]:
+    """Check a parsed document's shape against _SCHEMA and fill in defaults.
+
+    Returns each section's values by key (the luminaire section as a list
+    of them) and the path of every defaulted key, in document order.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioParseError("top level: expected a mapping of sections")
+    _reject_unknown(doc, tuple(section for section, _, _ in _SCHEMA), "top level")
+    values: dict = {}
+    applied: list[str] = []
+    for section, required, keys in _SCHEMA:
+        if required and section not in doc:
+            raise ScenarioParseError(f"{section}: missing required section")
+        body = doc.get(section, {})
+        if section == "luminaire":
+            if not isinstance(body, list) or not body:
+                raise ScenarioParseError("luminaire: expected a non-empty list of entries")
+            values[section] = [_read_keys(entry, keys, f"luminaire[{i}]", applied)
+                               for i, entry in enumerate(body)]
+        else:
+            values[section] = _read_keys(body, keys, section, applied)
+    return values, applied
+
+
+def _read_keys(mapping: object, keys: tuple[tuple[str, object], ...], path: str,
+               applied: list[str]) -> dict:
+    if not isinstance(mapping, dict):
+        raise ScenarioParseError(f"{path}: expected a mapping")
+    _reject_unknown(mapping, tuple(key for key, _ in keys), path)
+    values = {}
+    for key, default in keys:
+        if key not in mapping:
+            if default is MISSING:
+                raise ScenarioParseError(f"{path}.{key}: missing required key")
+            if key not in _TEXT_KEYS:
+                applied.append(f"{path}.{key}")
+            values[key] = default
+            continue
+        value = mapping[key]
+        if key in _TEXT_KEYS:
+            if not isinstance(value, str):
+                raise ScenarioParseError(f"{path}.{key}: expected a string, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioParseError(f"{path}.{key}: expected a number, got {value!r}")
+        else:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ScenarioParseError(f"{path}.{key}: number too large for a float") from None
+        values[key] = value
+    return values
+
+
 def _reject_unknown(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(k for k in mapping if k not in allowed)
+    # YAML keys may mix types (`1: x`), which plain sorting cannot compare.
+    unknown = sorted((k for k in mapping if k not in allowed), key=str)
     if unknown:
         raise ScenarioParseError(f"{path}: unknown key {unknown[0]!r}")
 
 
-def _mapping(doc: dict, key: str, required: bool) -> dict:
-    if key not in doc:
-        if required:
-            raise ScenarioParseError(f"{key}: missing required section")
-        return {}
-    value = doc[key]
-    if not isinstance(value, dict):
-        raise ScenarioParseError(f"{key}: expected a mapping")
-    return value
-
-
-_REQUIRED = object()
-
-
-def _number(mapping: dict, key: str, path: str, default=_REQUIRED, applied: list[str] | None = None):
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ScenarioParseError(f"{path}.{key}: missing required key")
-        if applied is not None:
-            applied.append(f"{path}.{key}")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioParseError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _string(mapping: dict, key: str, path: str, default=_REQUIRED):
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ScenarioParseError(f"{path}.{key}: missing required key")
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise ScenarioParseError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _validate(condition: bool, key: str, constraint: str) -> None:
-    if not condition:
-        raise ScenarioValidationError(f"{key}: {constraint}")
+def _build(prefix: str, model: type, *args, **kwargs):
+    """Construct ``model``; its ParameterError becomes a validation error at ``prefix``."""
+    try:
+        return model(*args, **kwargs)
+    except ParameterError as exc:
+        raise ScenarioValidationError(f"{prefix}{exc}") from exc

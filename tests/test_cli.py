@@ -46,6 +46,46 @@ class TestValidate:
         assert main(["validate", str(doc)]) == 1
 
 
+class TestInputContract:
+    """A malformed document exits 1 with one error line, never a traceback."""
+
+    def _fails(self, tmp_path, capsys, doc, command, *flags):
+        path = tmp_path / "doc.yaml"
+        path.write_text(doc, encoding="utf-8")
+        assert main([command, str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("tag, command, plane_flag", [
+        ("a,b", "grid", "--plane-cm"),
+        ("\u00e9", "grid", "--plane-cm"),
+        ("x/y", "sweep", "--planes-cm"),
+    ], ids=["comma", "non-ascii", "slash"])
+    def test_tag_outside_the_charset_names_the_key(self, tmp_path, capsys, tag, command, plane_flag):
+        doc = SINGLE_LAMP_DOC.replace("tag: solo", f"tag: '{tag}'")
+        err = self._fails(tmp_path, capsys, doc, command, "--tag", tag, plane_flag, "30",
+                          "--res", "4", "--out", str(tmp_path / "out"))
+        assert "luminaire[0].tag" in err
+
+    def test_integer_too_large_for_a_float_names_the_key(self, tmp_path, capsys):
+        doc = SINGLE_LAMP_DOC.replace("power_w: 1.0", "power_w: 1" + "0" * 400)
+        assert "luminaire[0].power_w" in self._fails(tmp_path, capsys, doc, "validate")
+
+    def test_integer_past_the_conversion_limit_is_a_parse_error(self, tmp_path, capsys):
+        self._fails(tmp_path, capsys, SINGLE_LAMP_DOC.replace("power_w: 1.0", "power_w: " + "1" * 5000),
+                    "validate")
+
+    def test_duplicate_key_is_rejected(self, tmp_path, capsys):
+        doc = SINGLE_LAMP_DOC.replace("power_w: 1.0", "power_w: 1.0, power_w: 5.0")
+        assert "duplicate key 'power_w'" in self._fails(tmp_path, capsys, doc, "validate")
+
+    def test_unknown_keys_of_mixed_types_are_rejected(self, tmp_path, capsys):
+        doc = SINGLE_LAMP_DOC.replace("gain: 1.3}", "gain: 1.3, 1: 2, foo: 3}")
+        assert "detector" in self._fails(tmp_path, capsys, doc, "validate")
+
+
 class TestGrid:
     def test_csv_shape_and_determinism(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"

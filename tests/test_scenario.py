@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -44,6 +45,26 @@ detector:
   fov_deg: 60.0
   gain: 1.3
 """
+
+
+# (text in MINIMAL_DOC, its replacement, path of the key whose constraint fails)
+CONSTRAINT_CASES = [
+    ("width_m: 2.0", "width_m: 0.0", "room.width_m"),
+    ("depth_m: 2.0", "depth_m: -1.0", "room.depth_m"),
+    ("height_m: 2.0", "height_m: .nan", "room.height_m"),
+    ("power_w: 1.0", "power_w: 0.0", "luminaire[0].power_w"),
+    ("power_w: 1.0", "power_w: 1.0\n    mod_index: 1.5", "luminaire[0].mod_index"),
+    ("power_w: 1.0", "power_w: 1.0\n    baseband_power: 0.0", "luminaire[0].baseband_power"),
+    ("area_m2: 1.0e-4", "area_m2: 0.0", "detector.area_m2"),
+    ("gain: 1.3", "gain: -1.3", "detector.gain"),
+    ("gain: 1.3", "gain: 1.3\n  responsivity_a_per_w: 0.0", "detector.responsivity_a_per_w"),
+    ("gain: 1.3", "gain: 1.3\n  bandwidth_hz: 0.0", "detector.bandwidth_hz"),
+    ("gain: 1.3", "gain: 1.3\nnoise:\n  background_current_a: -1.0e-3", "noise.background_current_a"),
+    ("gain: 1.3", "gain: 1.3\nnoise:\n  i2: .nan", "noise.i2"),
+    ("gain: 1.3", "gain: 1.3\nnoise:\n  thermal_a2: -1.0e-12", "noise.thermal_a2"),
+    ("gain: 1.3", "gain: 1.3\nnoise:\n  isi_a2: -1.0", "noise.isi_a2"),
+    ("x_m: 0.0", "x_m: .nan", "luminaire[0]"),
+]
 
 
 def single_lamp_scenario():
@@ -169,6 +190,14 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         scenario = load_scenario(doc)
         assert scenario.tags() == ("twin",)
         assert len(scenario.luminaires_for("twin")) == 2
+
+    @pytest.mark.parametrize("old, new, path", CONSTRAINT_CASES,
+                             ids=[path for _, _, path in CONSTRAINT_CASES])
+    def test_each_constraint_is_reported_at_its_key_path(self, old, new, path):
+        doc = MINIMAL_DOC.replace(old, new)
+        assert doc != MINIMAL_DOC
+        with pytest.raises(ScenarioValidationError, match="^" + re.escape(path) + ":"):
+            load_scenario(doc)
 
 
 class TestScenarioInvariants:
