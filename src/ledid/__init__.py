@@ -28,7 +28,16 @@ from .errors import (
 )
 from .export import grid_csv_text, grid_pgm_text, write_grid_csv, write_grid_pgm
 from .geometry import Pose, Vec3, link_geometry
-from .link import LinkBudget, ModulationParams, ber_bfsk, electrical_signal_ms, evaluate_link, snr
+from .link import (
+    LinkBudget,
+    LinkColumns,
+    ModulationParams,
+    ber_bfsk,
+    electrical_signal_ms,
+    evaluate_link,
+    evaluate_points,
+    snr,
+)
 from .noise import ELECTRON_CHARGE_C, NoiseParams, shot_noise_variance, total_noise_variance
 from .oracle import AgreementPoint, McConfig, agreement_report, mc_ber_bfsk
 from .scenario import (
@@ -59,6 +68,7 @@ __all__ = [
     "GridSpec",
     "LedIdError",
     "LinkBudget",
+    "LinkColumns",
     "Luminaire",
     "McConfig",
     "ModulationParams",
@@ -85,6 +95,7 @@ __all__ = [
     "electrical_signal_ms",
     "evaluate_grid",
     "evaluate_link",
+    "evaluate_points",
     "grid_csv_text",
     "grid_pgm_text",
     "lambertian_order",

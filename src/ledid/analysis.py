@@ -12,28 +12,36 @@ Coverage searches walk the boresight ray of the tag's (first) luminaire.
 For a lone tag with fixed noise the error rate is monotone in distance, so
 exponential bracketing plus bisection is sound; scenarios with interferers
 fall back to a linear scan at 1 cm steps because interference geometry can
-make the error rate non-monotone along the ray. The off-axis angle is
-swept at half the maximum reliable distance with the receiver keeping the
-scenario's receiver orientation; both the measurement fraction and the
-threshold are explicit parameters.
+make the error rate non-monotone along the ray. The scan's whole ladder is
+one batch through ``evaluate_points``; the bisection steps are single
+points through the same call. The off-axis angle is swept at half the
+maximum reliable distance with the receiver keeping the scenario's
+receiver orientation; both the measurement fraction and the threshold are
+explicit parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 from .geometry import Vec3
-from .link import evaluate_link
+from .link import evaluate_points
 from .scenario import Scenario
 
 _BRACKET_START_M = 0.01
 _BRACKET_CAP_M = 1.0e6
 _SCAN_STEP_M = 0.01
 _SCAN_CAP_M = 100.0
+_SCAN_STEPS = int(round(_SCAN_CAP_M / _SCAN_STEP_M))
 _DISTANCE_TOL_M = 1.0e-3
 _ANGLE_TOL_DEG = 0.1
+# scenario_critical_distance compares about this many luminaire pairs at a time.
+_BLOCK_PAIRS = 8192
 
 UNBOUNDED = math.inf
 
@@ -111,8 +119,8 @@ def foot_bers(scenario: Scenario, plane_distance_m: float, tag_id: str) -> list[
     the tag's luminaires in scenario order.
     """
     z = scenario.room.height_m - plane_distance_m
-    return [evaluate_link(scenario, Vec3(lum.pose.position.x, lum.pose.position.y, z), tag_id).ber
-            for lum in scenario.luminaires_for(tag_id)]
+    feet = [(lum.pose.position.x, lum.pose.position.y, z) for lum in scenario.luminaires_for(tag_id)]
+    return list(evaluate_points(scenario, feet, tag_id).ber)
 
 
 def scenario_critical_distance(scenario: Scenario) -> float:
@@ -122,14 +130,22 @@ def scenario_critical_distance(scenario: Scenario) -> float:
     earliest full overlap anywhere in the layout. Infinite for a single
     luminaire; zero when two luminaires coincide.
     """
-    positions = [lum.pose.position for lum in scenario.luminaires]
-    if len(positions) < 2:
+    n = len(scenario.luminaires)
+    if n < 2:
         return UNBOUNDED
-    spacing = min(
-        (positions[i] - positions[j]).norm()
-        for i in range(len(positions))
-        for j in range(i + 1, len(positions))
-    )
+    p = np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
+                  for lum in scenario.luminaires])
+    # Vec3.norm of each difference, (dx*dx + dy*dy) + dz*dz under one sqrt,
+    # so the minimum is bit-identical to a loop over the pairs.
+    spacing = math.inf
+    step = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, n - 1, step):
+        rows = p[start:start + step, None, :]
+        delta = rows - p
+        d = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
+                    + delta[..., 2] * delta[..., 2])
+        later = np.arange(n) > np.arange(start, start + len(rows))[:, None]
+        spacing = min(spacing, float(d[later].min()))
     if spacing == 0.0:
         return 0.0
     widest = max(lum.emitter.semi_angle_deg for lum in scenario.luminaires)
@@ -162,19 +178,23 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     axis = lamps[0].pose.axis
     side = _perpendicular(axis)
 
-    def ber_at(distance: float, angle_deg: float = 0.0) -> float:
+    def bers_at(distances: list[float], angle_deg: float = 0.0) -> Sequence[float]:
+        # Each position is origin + direction.scaled(distance), component
+        # by component, as Vec3 arithmetic computes it.
         a = math.radians(angle_deg)
         direction = axis.scaled(math.cos(a)) + side.scaled(math.sin(a))
-        position = origin + direction.scaled(distance)
-        return evaluate_link(scenario, position, tag_id).ber
+        steps = np.array(distances)[:, None]
+        positions = (origin.x, origin.y, origin.z) + steps * (direction.x, direction.y, direction.z)
+        return evaluate_points(scenario, positions, tag_id).ber
 
     def ok(distance: float) -> bool:
-        return ber_at(distance) <= threshold
+        return bers_at([distance])[0] <= threshold
 
     if not ok(_BRACKET_START_M):
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
     if has_interferers:
-        distance = _scan_last_crossing(ok)
+        ladder = [k * _SCAN_STEP_M for k in range(1, _SCAN_STEPS + 1)]
+        distance = _scan_last_crossing(ok, [ber <= threshold for ber in bers_at(ladder)])
     else:
         distance = _bracket_and_bisect(ok)
     if math.isinf(distance):
@@ -183,7 +203,7 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     radius = angle_distance_fraction * distance
 
     def angle_ok(angle_deg: float) -> bool:
-        return ber_at(radius, angle_deg) <= threshold
+        return bers_at([radius], angle_deg)[0] <= threshold
 
     if angle_ok(90.0):
         angle = 90.0
@@ -219,18 +239,14 @@ def _bracket_and_bisect(ok) -> float:
     return lo
 
 
-def _scan_last_crossing(ok) -> float:
+def _scan_last_crossing(ok, passes: list[bool]) -> float:
     # Interference can make the error rate dip and rise along the ray, so
-    # scan at fixed steps for the last passing point, then refine locally.
-    steps = int(round(_SCAN_CAP_M / _SCAN_STEP_M))
-    last_pass = None
-    for k in range(1, steps + 1):
-        d = k * _SCAN_STEP_M
-        if ok(d):
-            last_pass = k
+    # find the last passing step of the whole ladder (``passes[k - 1]`` is
+    # step k), then refine locally.
+    last_pass = max((k for k, passed in enumerate(passes, 1) if passed), default=None)
     if last_pass is None:
         return _BRACKET_START_M
-    if last_pass == steps:
+    if last_pass == _SCAN_STEPS:
         return UNBOUNDED
     lo = last_pass * _SCAN_STEP_M
     hi = (last_pass + 1) * _SCAN_STEP_M

@@ -43,8 +43,8 @@ class EmitterModel:
     lambertian_order: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.power_w > 0.0:
-            raise ParameterError(f"power_w: must be positive, got {self.power_w}")
+        if not (self.power_w > 0.0 and math.isfinite(self.power_w)):
+            raise ParameterError(f"power_w: must be positive and finite, got {self.power_w}")
         object.__setattr__(self, "lambertian_order", lambertian_order(self.semi_angle_deg))
 
     @classmethod
@@ -71,16 +71,12 @@ class DetectorModel:
     bandwidth_hz: float = 1.0e4
 
     def __post_init__(self) -> None:
-        if not self.area_m2 > 0.0:
-            raise ParameterError(f"area_m2: must be positive, got {self.area_m2}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ParameterError(f"fov_deg: must be in (0, 90] degrees, got {self.fov_deg}")
-        if not self.gain > 0.0:
-            raise ParameterError(f"gain: must be positive, got {self.gain}")
-        if not self.responsivity_a_per_w > 0.0:
-            raise ParameterError(f"responsivity_a_per_w: must be positive, got {self.responsivity_a_per_w}")
-        if not self.bandwidth_hz > 0.0:
-            raise ParameterError(f"bandwidth_hz: must be positive, got {self.bandwidth_hz}")
+        for name in ("area_m2", "gain", "responsivity_a_per_w", "bandwidth_hz"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name}: must be positive and finite, got {value}")
 
 
 def radiant_intensity(theta_rad: float, emitter: EmitterModel) -> float:

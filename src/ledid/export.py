@@ -23,20 +23,11 @@ _LOG_BER_HI = -0.3
 def grid_csv_text(grid: BerGrid) -> str:
     """Render a grid as CSV, one row per cell in row-major (y, x) order."""
     lines = [CSV_HEADER]
-    for iy, y in enumerate(grid.y_centers_m):
-        for ix, x in enumerate(grid.x_centers_m):
-            cell = grid.cells[iy][ix]
-            lines.append(",".join((
-                repr(x),
-                repr(y),
-                grid.tag_id,
-                repr(cell.data_gain(grid.tag_id)),
-                repr(cell.signal_ms_a2),
-                repr(cell.interference_ms_a2),
-                repr(cell.noise_variance_a2),
-                repr(cell.snr),
-                repr(cell.ber),
-            )))
+    c = grid.columns
+    values = zip(c.h_data, c.signal_ms_a2, c.interference_ms_a2, c.noise_variance_a2, c.snr, c.ber)
+    for y in grid.y_centers_m:
+        for x in grid.x_centers_m:
+            lines.append(",".join((repr(x), repr(y), grid.tag_id, *map(repr, next(values)))))
     return "\n".join(lines) + "\n"
 
 
@@ -56,8 +47,8 @@ def grid_pgm_text(grid: BerGrid) -> str:
     width = len(grid.x_centers_m)
     height = len(grid.y_centers_m)
     lines = ["P2", f"{width} {height}", "255"]
-    for row in grid.cells:
-        lines.append(" ".join(str(_pixel(cell.ber)) for cell in row))
+    for start in range(0, width * height, width):
+        lines.append(" ".join(str(_pixel(ber)) for ber in grid.columns.ber[start:start + width]))
     return "\n".join(lines) + "\n"
 
 

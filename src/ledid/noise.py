@@ -14,6 +14,7 @@ levels (lux) to a background current is likewise left to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channel import DetectorModel
@@ -24,7 +25,7 @@ ELECTRON_CHARGE_C = 1.602176634e-19
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Ambient and constant noise contributions, all non-negative."""
+    """Ambient and constant noise contributions, all finite and non-negative."""
 
     background_current_a: float = 0.0
     i2: float = 0.56
@@ -33,8 +34,9 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         for name in ("background_current_a", "i2", "thermal_a2", "isi_a2"):
-            if not getattr(self, name) >= 0.0:
-                raise ParameterError(f"{name}: must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name}: must be finite and >= 0, got {value}")
 
 
 def shot_noise_variance(received_power_w: float, detector: DetectorModel, params: NoiseParams) -> float:

@@ -27,14 +27,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .channel import DetectorModel, EmitterModel
 from .errors import ParameterError, ScenarioParseError, ScenarioValidationError, TagNotFoundError
 from .geometry import Pose, Vec3
-from .link import LinkBudget, ModulationParams, evaluate_link
+from .link import LinkBudget, LinkColumns, ModulationParams, evaluate_points, luminaire_gains
 from .noise import NoiseParams
 
 _DOWN = Vec3(0.0, 0.0, -1.0)
@@ -54,8 +56,9 @@ class Room:
 
     def __post_init__(self) -> None:
         for name in ("width_m", "depth_m", "height_m"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name}: must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ParameterError(f"{name}: must be positive and finite, got {value}")
 
     def contains(self, point: Vec3) -> bool:
         return (
@@ -147,16 +150,35 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class BerGrid:
-    """Per-cell link budgets for one tag on one receiver plane.
+    """Link budgets for one tag at the cell centers of one receiver plane.
 
-    ``cells[iy][ix]`` corresponds to ``(x_centers_m[ix], y_centers_m[iy])``.
+    ``columns`` holds one value per cell in row-major (y, x) order: the
+    cell at ``(x_centers_m[ix], y_centers_m[iy])`` is entry
+    ``iy * len(x_centers_m) + ix`` of every column. ``cells[iy][ix]`` is the
+    same cell as a full LinkBudget, per-luminaire gains included; it is
+    built on first use and kept.
     """
 
     spec: GridSpec
     tag_id: str
     x_centers_m: tuple[float, ...]
     y_centers_m: tuple[float, ...]
-    cells: tuple[tuple[LinkBudget, ...], ...]
+    columns: LinkColumns
+    scenario: Scenario = field(repr=False)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[LinkBudget, ...], ...]:
+        z = self.scenario.room.height_m - self.spec.plane_distance_m
+        tags = [lum.tag for lum in self.scenario.luminaires]
+        c = self.columns
+        rows = []
+        for iy, y in enumerate(self.y_centers_m):
+            gains = luminaire_gains(self.scenario, [(x, y, z) for x in self.x_centers_m]).tolist()
+            rows.append(tuple(
+                LinkBudget(tuple(zip(tags, row)), c.received_power_w[i], c.signal_ms_a2[i],
+                           c.interference_ms_a2[i], c.noise_variance_a2[i], c.snr[i], c.ber[i])
+                for i, row in enumerate(gains, iy * len(self.x_centers_m))))
+        return tuple(rows)
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -171,8 +193,9 @@ def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
 def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers: int = 1) -> BerGrid:
     """Evaluate the link budget for ``data_tag_id`` at every cell center.
 
-    The result is deterministic: each cell is a pure function of the
-    scenario and its center coordinate. ``workers`` is accepted for
+    All cells go through ``evaluate_points`` as one batch, so each cell is
+    bit-identical to ``evaluate_link`` at its center and the result is a
+    pure function of the scenario and the spec. ``workers`` is accepted for
     compatibility and ignored; cells are evaluated on the calling thread,
     so it changes neither the output nor the speed.
     """
@@ -190,8 +213,10 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
     z = room.height_m - spec.plane_distance_m
     xs = _cell_centers(spec.x_range[0], spec.x_range[1], spec.resolution)
     ys = _cell_centers(spec.y_range[0], spec.y_range[1], spec.resolution)
-    cells = tuple(tuple(evaluate_link(scenario, Vec3(x, y, z), data_tag_id) for x in xs) for y in ys)
-    return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys, cells=cells)
+    cells = len(xs) * len(ys)
+    points = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs)), np.full(cells, z)))
+    return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys,
+                   columns=evaluate_points(scenario, points, data_tag_id), scenario=scenario)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -249,6 +274,9 @@ def load_scenario_with_defaults(text: str) -> tuple[Scenario, tuple[str, ...]]:
     except (yaml.YAMLError, ValueError) as exc:
         # PyYAML raises ValueError for an integer too long to convert.
         raise ScenarioParseError(f"document is not valid YAML: {exc}") from exc
+    except RecursionError:
+        # PyYAML composes nested collections recursively.
+        raise ScenarioParseError("document is nested too deeply") from None
     values, applied = _read_document(doc)
 
     room = _build("room.", Room, **values["room"])

@@ -21,6 +21,21 @@ luminaire:
 detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
 """
 
+# Each model rejects an infinite value of each of its numbers.
+INFINITE_CASES = [
+    ("width_m: 2.0", "width_m: .inf", "room.width_m"),
+    ("power_w: 1.0", "power_w: .inf", "luminaire[0].power_w"),
+    ("power_w: 1.0", "power_w: 1.0, baseband_power: .inf", "luminaire[0].baseband_power"),
+    ("area_m2: 1.0e-4", "area_m2: .inf", "detector.area_m2"),
+    ("gain: 1.3", "gain: .inf", "detector.gain"),
+    ("gain: 1.3", "gain: 1.3, responsivity_a_per_w: .inf", "detector.responsivity_a_per_w"),
+    ("gain: 1.3", "gain: 1.3, bandwidth_hz: .inf", "detector.bandwidth_hz"),
+    ("gain: 1.3}", "gain: 1.3}\nnoise: {background_current_a: .inf}", "noise.background_current_a"),
+    ("gain: 1.3}", "gain: 1.3}\nnoise: {i2: .inf}", "noise.i2"),
+    ("gain: 1.3}", "gain: 1.3}\nnoise: {thermal_a2: .inf}", "noise.thermal_a2"),
+    ("gain: 1.3}", "gain: 1.3}\nnoise: {isi_a2: -.inf}", "noise.isi_a2"),
+]
+
 
 class TestValidate:
     def test_shipped_l1(self, capsys):
@@ -84,6 +99,18 @@ class TestInputContract:
     def test_unknown_keys_of_mixed_types_are_rejected(self, tmp_path, capsys):
         doc = SINGLE_LAMP_DOC.replace("gain: 1.3}", "gain: 1.3, 1: 2, foo: 3}")
         assert "detector" in self._fails(tmp_path, capsys, doc, "validate")
+
+    @pytest.mark.parametrize("old, new, path", INFINITE_CASES, ids=[path for _, _, path in INFINITE_CASES])
+    def test_infinite_parameter_names_the_key(self, tmp_path, capsys, old, new, path):
+        out = tmp_path / "grid.csv"
+        err = self._fails(tmp_path, capsys, SINGLE_LAMP_DOC.replace(old, new), "grid", "--tag", "solo",
+                          "--plane-cm", "30", "--res", "4", "--out", str(out))
+        assert f"error: {path}: must be" in err
+        assert not out.exists()
+
+    def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
+        doc = "a: " + "[" * 1000 + "]" * 1000 + "\n" + SINGLE_LAMP_DOC
+        assert "nested too deeply" in self._fails(tmp_path, capsys, doc, "validate")
 
 
 class TestGrid:
