@@ -9,15 +9,17 @@ Three questions a deployment planner asks of a scenario:
 * how far away, and how far off axis, can a single tag be read reliably.
 
 Coverage searches walk the boresight ray of the tag's (first) luminaire.
-For a lone tag with fixed noise the error rate is monotone in distance, so
-exponential bracketing plus bisection is sound; scenarios with interferers
-fall back to a linear scan at 1 cm steps because interference geometry can
-make the error rate non-monotone along the ray. The scan's whole ladder is
-one batch through ``evaluate_points``; the bisection steps are single
-points through the same call. The off-axis angle is swept at half the
-maximum reliable distance with the receiver keeping the scenario's
-receiver orientation; both the measurement fraction and the threshold are
-explicit parameters.
+For a lone lamp with fixed noise the error rate is monotone in distance, so
+exponential bracketing plus bisection is sound. Any other lamp can make
+the error rate non-monotone along the ray: an interferer, or a second lamp
+of the same tag whose beam crosses the ray further down and lights it up
+again. Every scenario with more than one luminaire therefore takes a
+linear scan at 1 cm steps and keeps the last passing step. The scan's
+whole ladder is one batch through ``evaluate_points``; the bisection steps
+are single points through the same call. The off-axis angle is swept at
+half the maximum reliable distance with the receiver keeping the
+scenario's receiver orientation; both the measurement fraction and the
+threshold are explicit parameters.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
 
     if not ok(_BRACKET_START_M):
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
-    if has_interferers:
+    if len(scenario.luminaires) > 1:
         ladder = [k * _SCAN_STEP_M for k in range(1, _SCAN_STEPS + 1)]
         distance = _scan_last_crossing(ok, [ber <= threshold for ber in bers_at(ladder)])
     else:

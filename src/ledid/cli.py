@@ -216,8 +216,8 @@ def _cmd_mc_verify(args: argparse.Namespace) -> int:
         snr_values = tuple(float(item) for item in items)
     except ValueError as exc:
         raise _UsageError(f"--snr-list: {exc}") from exc
-    if any(s < 0 for s in snr_values):
-        raise _UsageError("--snr-list values must be >= 0")
+    if any(not s >= 0.0 for s in snr_values):
+        raise _UsageError("--snr-list values must be >= 0 (NaN is not)")
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     if not 0 <= args.seed < 2 ** 64:

@@ -13,7 +13,10 @@ basebands, so distinct luminaires add in power rather than amplitude:
 Edge conventions: zero data signal means the tag is unreadable (SNR 0,
 BER 1/2) no matter what the denominator is; a positive signal with neither
 noise nor interference maps to an infinite-SNR sentinel and BER 0 so that
-field evaluations over dark or one-sided regions never abort.
+field evaluations over dark or one-sided regions never abort. Huge but
+finite parameters (``power_w: 1e300``) can overflow the budget itself; a
+received power, signal, interference or noise that is not finite raises
+ParameterError, in both paths through the one check ``_check_budget``.
 
 ``evaluate_link`` is the scalar reference for one position. The batch
 kernel, ``evaluate_points``, returns the same quantities for many positions
@@ -191,10 +194,9 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
         else:
             interference_terms.append(term)
 
-    received_power = math.fsum(power_terms)
-    signal_ms = math.fsum(signal_terms)
-    interference_ms = math.fsum(interference_terms)
+    received_power, signal_ms, interference_ms = _row_sums([power_terms, signal_terms, interference_terms])
     noise_variance = total_noise_variance(received_power, detector, scenario.noise)
+    _check_budget(received_power, signal_ms, interference_ms, noise_variance)
     snr_value = snr(signal_ms, interference_ms, noise_variance)
     return LinkBudget(
         per_luminaire_gain=tuple(gains),
@@ -213,7 +215,8 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     ``positions`` is an (n, 3) array-like of x, y, z in meters. The result
     is bit-identical to ``evaluate_link`` at each position (see the module
     docstring), and raises the same errors: TagNotFoundError for an unknown
-    tag, GeometryError when a position coincides with a luminaire.
+    tag, GeometryError when a position coincides with a luminaire,
+    ParameterError when the budget at any position is not finite.
     """
     scenario.luminaires_for(data_tag_id)
     points = _as_points(positions)
@@ -228,14 +231,19 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     h_data, received, signal, interference = array("d"), array("d"), array("d"), array("d")
     step = max(1, _BLOCK_PAIRS // len(luminaires))
     for start in range(0, len(points), step):
-        h = luminaire_gains(scenario, points[start:start + step])
-        amplitude = r * h * power * mod_index
-        terms = amplitude * amplitude * baseband
+        # Whatever overflows here (huge power_w, area_m2 or gain) leaves a
+        # received power that is not finite, which _check_budget rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = luminaire_gains(scenario, points[start:start + step])
+            amplitude = r * h * power * mod_index
+            terms = amplitude * amplitude * baseband
+            incident = h * power
         h_data.extend(map(math.fsum, h[:, data].tolist()))
-        received.extend(map(math.fsum, (h * power).tolist()))
-        signal.extend(map(math.fsum, terms[:, data].tolist()))
-        interference.extend(map(math.fsum, terms[:, ~data].tolist()))
+        received.extend(_row_sums(incident.tolist()))
+        signal.extend(_row_sums(terms[:, data].tolist()))
+        interference.extend(_row_sums(terms[:, ~data].tolist()))
     noise = array("d", (total_noise_variance(p, detector, scenario.noise) for p in received))
+    _check_budget(received, signal, interference, noise)
     snrs = array("d", map(snr, signal, interference, noise))
     return LinkColumns(h_data, received, signal, interference, noise, snrs, array("d", map(ber_bfsk, snrs)))
 
@@ -282,6 +290,34 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[front] * detector.gain
               / (2.0 * math.pi * dist * dist))
     return h.reshape(len(points), count)
+
+
+def _check_budget(received_power, signal_ms, interference_ms, noise_variance) -> None:
+    # The one finiteness rule of a link budget, for one point (floats) or
+    # many (whole columns at once). SNR may still be inf: a signal with
+    # neither noise nor interference.
+    for name, value in (("received power", received_power), ("signal", signal_ms),
+                        ("interference", interference_ms), ("noise", noise_variance)):
+        if not np.isfinite(value).all():
+            raise ParameterError(f"link budget overflows: {name} is not finite "
+                                 f"(power_w or detector values too large)")
+
+
+def _row_sums(rows: list[list[float]]) -> list[float]:
+    # math.fsum of each row. fsum raises OverflowError where the exact sum
+    # of finite terms passes the largest float; such a sum reads inf, for
+    # _check_budget to reject.
+    try:
+        return list(map(math.fsum, rows))
+    except OverflowError:
+        return [_fsum_or_inf(row) for row in rows]
+
+
+def _fsum_or_inf(terms: list[float]) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _as_points(positions) -> np.ndarray:

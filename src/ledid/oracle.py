@@ -17,12 +17,18 @@ a Philox 4x64-10 counter-based generator (NumPy's implementation, seeded
 through SeedSequence) supplies uniforms in [0, 1); Gaussians come from an
 explicit Box-Muller transform of consecutive uniform pairs. Trial i always
 consumes draws 4i .. 4i+3, independent of batching.
+
+All points of one ``agreement_report`` share the seed, so the report draws
+each batch of uniforms and computes g1..g4 once, then scores every SNR
+against those same draws; only (a + g1)^2 + g2^2 depends on the SNR. Each
+point is bit-identical to ``mc_ber_bfsk`` run alone at its SNR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,29 +60,45 @@ def mc_ber_bfsk(config: McConfig) -> tuple[float, float]:
     Returns ``(estimate, std_error)`` where ``std_error`` is the binomial
     standard error sqrt(p (1 - p) / trials) of the estimate itself.
     """
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    amplitude = math.sqrt(2.0 * config.snr)
-    errors = 0
-    remaining = config.trials
+    (errors,) = _error_counts((config.snr,), config.trials, config.seed)
+    return _estimate(errors, config.trials)
+
+
+def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
+    # Errors out of ``trials`` at each SNR. Every SNR is scored against the
+    # same batches of draws, so trial i sees the same g1..g4 at every point.
+    rng = np.random.Generator(np.random.Philox(seed))
+    amplitudes = [math.sqrt(2.0 * snr) for snr in snrs]
+    errors = [0] * len(snrs)
+    remaining = trials if snrs else 0
     while remaining > 0:
         n = min(remaining, _BATCH_TRIALS)
-        u = rng.random((n, 4))
-        # log1p(-u) maps [0, 1) onto (0, 1] so the transform never sees log(0).
-        r_correct = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        phase_correct = 2.0 * np.pi * u[:, 1]
-        g1 = r_correct * np.cos(phase_correct)
-        g2 = r_correct * np.sin(phase_correct)
-        r_wrong = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
-        phase_wrong = 2.0 * np.pi * u[:, 3]
-        g3 = r_wrong * np.cos(phase_wrong)
-        g4 = r_wrong * np.sin(phase_wrong)
-        correct = (amplitude + g1) ** 2 + g2 ** 2
-        wrong = g3 ** 2 + g4 ** 2
-        errors += int(np.count_nonzero(wrong > correct))
+        g1, g2_squared, wrong = _noise_terms(rng.random((n, 4)))
+        for k, amplitude in enumerate(amplitudes):
+            correct = (amplitude + g1) ** 2 + g2_squared
+            errors[k] += int(np.count_nonzero(wrong > correct))
         remaining -= n
-    estimate = errors / config.trials
-    std_error = math.sqrt(estimate * (1.0 - estimate) / config.trials)
-    return estimate, std_error
+    return errors
+
+
+def _noise_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The SNR-independent parts of the detector for one batch of uniforms:
+    # g1, g2^2 and the wrong branch g3^2 + g4^2.
+    g1, g2 = _box_muller(u[:, 0], u[:, 1])
+    g3, g4 = _box_muller(u[:, 2], u[:, 3])
+    return g1, g2 ** 2, g3 ** 2 + g4 ** 2
+
+
+def _box_muller(u_radius: np.ndarray, u_phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # log1p(-u) maps [0, 1) onto (0, 1] so the transform never sees log(0).
+    radius = np.sqrt(-2.0 * np.log1p(-u_radius))
+    phase = 2.0 * np.pi * u_phase
+    return radius * np.cos(phase), radius * np.sin(phase)
+
+
+def _estimate(errors: int, trials: int) -> tuple[float, float]:
+    estimate = errors / trials
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
 
 
 @dataclass(frozen=True)
@@ -93,13 +115,15 @@ class AgreementPoint:
 def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> tuple[AgreementPoint, ...]:
     """Compare the estimator against exp(-snr/2)/2 at each SNR.
 
-    Every point reuses the same seed; determinism of the whole report
-    follows from determinism of each run.
+    Every point uses the same seed and is scored against the same draws
+    (see the module docstring); each equals ``mc_ber_bfsk`` at its SNR bit
+    for bit. Every SNR is checked before anything is drawn.
     """
+    configs = [McConfig(snr=snr, trials=trials, seed=seed) for snr in snr_values]
     points = []
-    for snr in snr_values:
-        analytic = 0.5 * math.exp(-0.5 * snr)
-        estimate, std_error = mc_ber_bfsk(McConfig(snr=snr, trials=trials, seed=seed))
+    for config, errors in zip(configs, _error_counts(snr_values, trials, seed)):
+        analytic = 0.5 * math.exp(-0.5 * config.snr)
+        estimate, std_error = _estimate(errors, trials)
         ok = abs(estimate - analytic) <= 3.0 * std_error
-        points.append(AgreementPoint(snr, analytic, estimate, std_error, ok))
+        points.append(AgreementPoint(config.snr, analytic, estimate, std_error, ok))
     return tuple(points)

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledid import (
     DetectorModel,
@@ -19,6 +22,7 @@ from ledid import (
     coverage,
     critical_overlap_distance,
     evaluate_link,
+    evaluate_points,
     resolvability,
     scenario_critical_distance,
 )
@@ -204,3 +208,70 @@ class TestCoverage:
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
             coverage(builtin_l1(), "inner", threshold=0.0)
+
+
+def ladder_scan_distance(scenario, tag, threshold=1e-2, step=0.01, steps=10_000):
+    """Coverage distance by the 1 cm ladder alone: the last passing step.
+
+    0.0 when the first step already fails, inf when the last step passes.
+    """
+    lamp = scenario.luminaires_for(tag)[0]
+    origin, axis = lamp.pose.position, lamp.pose.axis
+    d = np.arange(1, steps + 1) * step
+    positions = np.column_stack([origin.x + d * axis.x, origin.y + d * axis.y, origin.z + d * axis.z])
+    passing = np.array(evaluate_points(scenario, positions, tag).ber) <= threshold
+    if not passing[0]:
+        return 0.0
+    if passing[-1]:
+        return math.inf
+    return float(d[np.flatnonzero(passing)[-1]])
+
+
+def assert_agrees_with_the_ladder(scenario, tag):
+    distance = coverage(scenario, tag).max_reliable_distance_m
+    expected = ladder_scan_distance(scenario, tag)
+    if expected == 0.0 or math.isinf(expected):
+        assert distance == expected
+    else:
+        assert expected <= distance <= expected + 0.01
+
+
+lamp_layouts = st.lists(
+    st.tuples(
+        st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),                   # position on the ceiling
+        st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))),  # aim on the floor
+        st.floats(0.2, 3.0), st.floats(10.0, 60.0),                   # power_w, semi_angle_deg
+    ),
+    min_size=2, max_size=4,
+)
+
+
+class TestSharedTagCoverage:
+    """Several lamps on one tag and no interferers.
+
+    The error rate along the first lamp's boresight need not be monotone
+    then, so the coverage answer must be the ladder scan's, within its step.
+    """
+
+    def test_spotlight_across_the_ray(self):
+        # A strong narrow lamp aimed 2.5 m down the first lamp's axis: the
+        # error rate there falls below the threshold again, after the first
+        # crossing at about 0.4 m.
+        lamps = (Luminaire("t", Pose(Vec3(0.0, 0.0, 3.0), DOWN), EmitterModel(power_w=0.2, semi_angle_deg=20.0)),
+                 Luminaire("t", Pose.aimed(Vec3(1.0, 0.0, 3.0), Vec3(0.0, 0.0, 0.5)),
+                           EmitterModel(power_w=3.0, semi_angle_deg=10.0)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET,
+                            noise=NoiseParams(thermal_a2=2e-9))
+        assert 2.5 < ladder_scan_distance(scenario, "t") < 3.0
+        assert_agrees_with_the_ladder(scenario, "t")
+
+    @settings(max_examples=20, deadline=None)
+    @given(lamp_layouts, st.floats(-13.0, -8.0))
+    def test_agrees_with_the_ladder(self, layout, log_thermal):
+        lamps = []
+        for x, y, aim, power, semi in layout:
+            pose = Pose(Vec3(x, y, 3.0), DOWN) if aim is None else Pose.aimed(Vec3(x, y, 3.0), Vec3(*aim, 0.0))
+            lamps.append(Luminaire("t", pose, EmitterModel(power_w=power, semi_angle_deg=semi)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=tuple(lamps), detector=DET,
+                            noise=NoiseParams(thermal_a2=10.0 ** log_thermal))
+        assert_agrees_with_the_ladder(scenario, "t")

@@ -108,6 +108,20 @@ class TestInputContract:
         assert f"error: {path}: must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("power_w: 1.0", "power_w: 1.0e+300"),
+        ("area_m2: 1.0e-4", "area_m2: 1.0e+300"),
+    ], ids=["power_w", "area_m2"])
+    @pytest.mark.parametrize("command", ["grid", "resolve"])
+    def test_overflowing_link_budget_is_an_error(self, tmp_path, capsys, old, new, command):
+        out = tmp_path / "grid.csv"
+        flags = ["--tag", "solo", "--res", "4", "--out", str(out)] if command == "grid" else []
+        err = self._fails(tmp_path, capsys, SINGLE_LAMP_DOC.replace(old, new), command,
+                          "--plane-cm", "30", *flags)
+        assert "error: link budget overflows:" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
         doc = "a: " + "[" * 1000 + "]" * 1000 + "\n" + SINGLE_LAMP_DOC
         assert "nested too deeply" in self._fails(tmp_path, capsys, doc, "validate")
@@ -271,6 +285,17 @@ class TestMcVerify:
 
     def test_negative_snr_is_a_usage_error(self):
         assert main(["mc-verify", "--snr-list", "-1,2"]) == 2
+
+    @pytest.mark.parametrize("snr_list", ["nan", "2,nan", "4,NaN,1"])
+    def test_nan_snr_is_a_usage_error(self, capsys, snr_list):
+        assert main(["mc-verify", "--snr-list", snr_list, "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --snr-list")
+
+    def test_infinite_snr_is_scored(self, capsys):
+        assert main(["mc-verify", "--snr-list", "inf", "--trials", "1000", "--seed", "3"]) == 0
+        assert "snr=inf analytic=0.0 estimate=0.0 std_error=0.0 pass" in capsys.readouterr().out
 
 
 def test_no_command_is_a_usage_error(capsys):

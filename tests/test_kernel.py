@@ -86,6 +86,14 @@ def shared_tag_scenario(receiver_axis=Vec3(0.0, 0.0, 1.0), fov_deg=60.0, noise=N
                     receiver_axis=receiver_axis, noise=noise)
 
 
+def stacked_scenario(power_w, lamps, detector):
+    """``lamps`` coincident tag-a luminaires above a tag-b neighbour."""
+    emitter = EmitterModel(power_w=power_w, semi_angle_deg=20.0)
+    stack = [Luminaire("a", Pose(Vec3(0.0, 0.0, 2.0), DOWN), emitter)] * lamps
+    neighbour = Luminaire("b", Pose(Vec3(0.5, 0.0, 2.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=20.0))
+    return Scenario(room=Room(2.0, 2.0, 2.0), luminaires=(*stack, neighbour), detector=detector)
+
+
 def plane_points(scenario, plane_m, n):
     """Centers of an n x n grid over the room footprint, plane_m below the ceiling."""
     room = scenario.room
@@ -166,6 +174,24 @@ class TestEvaluatePoints:
     def test_bad_positions_are_parameter_errors(self, positions):
         with pytest.raises(ParameterError):
             evaluate_points(builtin_l1(), positions, "inner")
+
+    @pytest.mark.parametrize("power_w, lamps, area_m2, gain, column", [
+        (1.0e300, 1, 1e-4, 1.3, "signal"),
+        (1.0, 1, 1.0e300, 1.0e300, "received power"),
+        (2.1e157, 3, 1e-4, 1.3, "signal"),
+    ], ids=["power-product", "gain-product", "sum-of-finite-terms"])
+    def test_overflowing_budget_is_a_parameter_error(self, power_w, lamps, area_m2, gain, column):
+        scenario = stacked_scenario(power_w, lamps, DetectorModel(area_m2=area_m2, fov_deg=60.0, gain=gain))
+        message = f"{column} is not finite"
+        with pytest.raises(ParameterError, match=message):
+            evaluate_link(scenario, Vec3(0.0, 0.0, 1.5), "a")
+        with pytest.raises(ParameterError, match=message):
+            evaluate_points(scenario, [(0.3, 0.0, 1.5), (0.0, 0.0, 1.5)], "a")
+
+    def test_largest_finite_budget_is_kept(self):
+        # Three signal terms of about 5.9e307 each: their sum is still finite.
+        columns = assert_matches_scalar(stacked_scenario(2.0e157, 3, DET), [(0.0, 0.0, 1.5)], "a")
+        assert math.isfinite(columns.signal_ms_a2[0]) and columns.signal_ms_a2[0] > 1.7e308
 
     def test_no_positions_give_empty_columns(self):
         columns = evaluate_points(builtin_l1(), np.zeros((0, 3)), "inner")

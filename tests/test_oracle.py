@@ -91,3 +91,29 @@ class TestAgreement:
         assert sum(p.within_3_sigma for p in points) >= 6
         for p in points:
             assert p.analytic == pytest.approx(analytic(p.snr), rel=1e-15)
+
+
+class TestSharedDraws:
+    """One report scores every SNR against the same draws."""
+
+    @pytest.mark.parametrize("snrs, trials, seed", [
+        ((0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0), 50_000, 42),
+        ((16.0, 0.0, 4.0, 4.0, math.inf, 2.5), 20_000, 9),
+        ((2.0, 0.0, 6.0), (1 << 20) + 4_321, 11),
+    ], ids=["defaults", "unsorted-duplicate-inf", "crosses-a-batch"])
+    def test_each_point_equals_its_own_run(self, snrs, trials, seed):
+        points = agreement_report(snrs, trials, seed)
+        assert [p.snr for p in points] == list(snrs)
+        for point in points:
+            estimate, std_error = mc_ber_bfsk(McConfig(snr=point.snr, trials=trials, seed=seed))
+            assert point.estimate == estimate
+            assert point.std_error == std_error
+
+    @pytest.mark.parametrize("snrs", [(0.0, 1.0, math.nan), (4.0, -1.0, 2.0)], ids=["nan-last", "negative"])
+    def test_bad_snr_raises_before_drawing(self, monkeypatch, snrs):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before every SNR was checked")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(ParameterError):
+            agreement_report(snrs, trials=1_000, seed=1)
