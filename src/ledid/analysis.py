@@ -14,12 +14,13 @@ exponential bracketing plus bisection is sound. Any other lamp can make
 the error rate non-monotone along the ray: an interferer, or a second lamp
 of the same tag whose beam crosses the ray further down and lights it up
 again. Every scenario with more than one luminaire therefore takes a
-linear scan at 1 cm steps and keeps the last passing step. The scan's
-whole ladder is one batch through ``evaluate_points``; the bisection steps
-are single points through the same call. The off-axis angle is swept at
-half the maximum reliable distance with the receiver keeping the
-scenario's receiver orientation; both the measurement fraction and the
-threshold are explicit parameters.
+linear scan at 1 cm steps out to 100 m and keeps the last passing step;
+when the last step still passes, bracketing and bisection go on from
+100 m. The scan's whole ladder is one batch through ``evaluate_points``;
+the bisection steps are single points through the same call. The
+off-axis angle is swept at half the maximum reliable distance with the
+receiver keeping the scenario's receiver orientation; both the
+measurement fraction and the threshold are explicit parameters.
 """
 
 from __future__ import annotations
@@ -223,9 +224,9 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     return CoverageReport(tag_id, distance, angle, threshold)
 
 
-def _bracket_and_bisect(ok) -> float:
-    # Monotone case: double out to the first failure, then bisect to 1 mm.
-    lo = _BRACKET_START_M
+def _bracket_and_bisect(ok, lo: float = _BRACKET_START_M) -> float:
+    # Monotone case: double out from lo to the first failure, then bisect
+    # to 1 mm.
     hi = lo
     while ok(hi):
         lo = hi
@@ -244,12 +245,13 @@ def _bracket_and_bisect(ok) -> float:
 def _scan_last_crossing(ok, passes: list[bool]) -> float:
     # Interference can make the error rate dip and rise along the ray, so
     # find the last passing step of the whole ladder (``passes[k - 1]`` is
-    # step k), then refine locally.
+    # step k), then refine locally. Past the ladder's end every lamp is far
+    # off, and the search goes on by bracketing and bisection.
     last_pass = max((k for k, passed in enumerate(passes, 1) if passed), default=None)
     if last_pass is None:
         return _BRACKET_START_M
     if last_pass == _SCAN_STEPS:
-        return UNBOUNDED
+        return _bracket_and_bisect(ok, _SCAN_CAP_M)
     lo = last_pass * _SCAN_STEP_M
     hi = (last_pass + 1) * _SCAN_STEP_M
     while hi - lo > _DISTANCE_TOL_M:

@@ -194,7 +194,8 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
         else:
             interference_terms.append(term)
 
-    received_power, signal_ms, interference_ms = _row_sums([power_terms, signal_terms, interference_terms])
+    received_power, signal_ms, interference_ms = map(
+        _fsum_or_inf, (power_terms, signal_terms, interference_terms))
     noise_variance = total_noise_variance(received_power, detector, scenario.noise)
     _check_budget(received_power, signal_ms, interference_ms, noise_variance)
     snr_value = snr(signal_ms, interference_ms, noise_variance)
@@ -231,17 +232,18 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     h_data, received, signal, interference = array("d"), array("d"), array("d"), array("d")
     step = max(1, _BLOCK_PAIRS // len(luminaires))
     for start in range(0, len(points), step):
-        # Whatever overflows here (huge power_w, area_m2 or gain) leaves a
-        # received power that is not finite, which _check_budget rejects.
+        h = luminaire_gains(scenario, points[start:start + step])
+        # A huge power_w, or a gain that overflowed to inf, overflows these
+        # products; the columns they feed are not finite then, and
+        # _check_budget rejects them.
         with np.errstate(over="ignore", invalid="ignore"):
-            h = luminaire_gains(scenario, points[start:start + step])
             amplitude = r * h * power * mod_index
             terms = amplitude * amplitude * baseband
             incident = h * power
-        h_data.extend(map(math.fsum, h[:, data].tolist()))
-        received.extend(_row_sums(incident.tolist()))
-        signal.extend(_row_sums(terms[:, data].tolist()))
-        interference.extend(_row_sums(terms[:, ~data].tolist()))
+        h_data.extend(map(_fsum_or_inf, h[:, data].tolist()))
+        received.extend(map(_fsum_or_inf, incident.tolist()))
+        signal.extend(map(_fsum_or_inf, terms[:, data].tolist()))
+        interference.extend(map(_fsum_or_inf, terms[:, ~data].tolist()))
     noise = array("d", (total_noise_variance(p, detector, scenario.noise) for p in received))
     _check_budget(received, signal, interference, noise)
     snrs = array("d", map(snr, signal, interference, noise))
@@ -287,8 +289,11 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     cos_theta_m = _each(pow, cos_theta[front], m)
     dist = d[lit]
     h = np.zeros(len(points) * count)
-    h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[front] * detector.gain
-              / (2.0 * math.pi * dist * dist))
+    # A huge area_m2 or gain overflows this product to inf (or nan against
+    # a zero cosine power); evaluate_points rejects the budget that follows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[front] * detector.gain
+                  / (2.0 * math.pi * dist * dist))
     return h.reshape(len(points), count)
 
 
@@ -303,17 +308,9 @@ def _check_budget(received_power, signal_ms, interference_ms, noise_variance) ->
                                  f"(power_w or detector values too large)")
 
 
-def _row_sums(rows: list[list[float]]) -> list[float]:
-    # math.fsum of each row. fsum raises OverflowError where the exact sum
-    # of finite terms passes the largest float; such a sum reads inf, for
-    # _check_budget to reject.
-    try:
-        return list(map(math.fsum, rows))
-    except OverflowError:
-        return [_fsum_or_inf(row) for row in rows]
-
-
 def _fsum_or_inf(terms: list[float]) -> float:
+    # fsum raises OverflowError where the exact sum of finite terms passes
+    # the largest float; such a sum reads inf, for _check_budget to reject.
     try:
         return math.fsum(terms)
     except OverflowError:

@@ -230,8 +230,10 @@ def ladder_scan_distance(scenario, tag, threshold=1e-2, step=0.01, steps=10_000)
 def assert_agrees_with_the_ladder(scenario, tag):
     distance = coverage(scenario, tag).max_reliable_distance_m
     expected = ladder_scan_distance(scenario, tag)
-    if expected == 0.0 or math.isinf(expected):
+    if expected == 0.0:
         assert distance == expected
+    elif math.isinf(expected):
+        assert distance > 100.0
     else:
         assert expected <= distance <= expected + 0.01
 
@@ -264,6 +266,22 @@ class TestSharedTagCoverage:
                             noise=NoiseParams(thermal_a2=2e-9))
         assert 2.5 < ladder_scan_distance(scenario, "t") < 3.0
         assert_agrees_with_the_ladder(scenario, "t")
+
+    def test_reach_past_the_ladder(self):
+        # Two 1 W lamps 0.5 m apart with almost no noise reach about 159 m:
+        # the search goes on past the ladder's 100 m end.
+        lamps = tuple(Luminaire("t", Pose(Vec3(x, 0.0, 3.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=60.0))
+                      for x in (0.0, 0.5))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET,
+                            noise=NoiseParams(thermal_a2=1e-19))
+        d = coverage(scenario, "t").max_reliable_distance_m
+        assert 150.0 < d < 170.0
+
+        def ber_on_axis(distance):
+            return evaluate_link(scenario, Vec3(0.0, 0.0, 3.0 - distance), "t").ber
+
+        assert ber_on_axis(d) <= 1e-2
+        assert ber_on_axis(d + 2e-3) > 1e-2
 
     @settings(max_examples=20, deadline=None)
     @given(lamp_layouts, st.floats(-13.0, -8.0))

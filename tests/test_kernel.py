@@ -188,6 +188,12 @@ class TestEvaluatePoints:
         with pytest.raises(ParameterError, match=message):
             evaluate_points(scenario, [(0.3, 0.0, 1.5), (0.0, 0.0, 1.5)], "a")
 
+    def test_geometry_overflow_is_not_silenced(self):
+        # Only the gain and power products may overflow quietly; a squared
+        # distance past the largest float still warns.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            evaluate_points(builtin_l1(), [(1.0e200, 0.0, 1.0)], "inner")
+
     def test_largest_finite_budget_is_kept(self):
         # Three signal terms of about 5.9e307 each: their sum is still finite.
         columns = assert_matches_scalar(stacked_scenario(2.0e157, 3, DET), [(0.0, 0.0, 1.5)], "a")
