@@ -136,8 +136,7 @@ def scenario_critical_distance(scenario: Scenario) -> float:
     n = len(scenario.luminaires)
     if n < 2:
         return UNBOUNDED
-    p = np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
-                  for lum in scenario.luminaires])
+    p = scenario.luminaire_arrays.tx
     # Vec3.norm of each difference, (dx*dx + dy*dy) + dz*dz under one sqrt,
     # so the minimum is bit-identical to a loop over the pairs.
     spacing = math.inf

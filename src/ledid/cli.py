@@ -20,7 +20,7 @@ from .analysis import coverage, foot_bers, resolvability
 from .errors import LedIdError
 from .export import write_grid_csv, write_grid_pgm
 from .oracle import agreement_report
-from .scenario import GridSpec, Scenario, evaluate_grid, load_scenario_with_defaults
+from .scenario import GridSpec, Scenario, evaluate_grid, load_scenario_with_defaults, read_scenario_text
 
 _DEFAULT_SNR_LIST = "0,1,2,4,8,12,16"
 _WORKERS_HELP = "accepted for compatibility (>= 1); changes neither output nor speed (default 1)"
@@ -105,7 +105,7 @@ def _load(path_text: str) -> tuple[Scenario, tuple[str, ...]]:
     if not path.is_file():
         raise _UsageError(f"scenario file not found: {path_text}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_scenario_text(path)
     except OSError as exc:
         raise _UsageError(f"cannot read scenario file: {exc}") from exc
     return load_scenario_with_defaults(text)

@@ -116,6 +116,41 @@ class LinkColumns:
     ber: array
 
 
+@dataclass(frozen=True)
+class LuminaireArrays:
+    """A scenario's luminaires as the batch kernel reads them.
+
+    Entry ``j`` of every array belongs to luminaire ``j``: its tag, optical
+    power, modulation depth, baseband power, position (row of ``tx``), axis
+    (row of ``tx_axis``) and Lambertian order, as the same floats the
+    models hold. The arrays are read-only, so one set can serve every call.
+    """
+
+    tags: np.ndarray
+    power: np.ndarray
+    mod_index: np.ndarray
+    baseband: np.ndarray
+    tx: np.ndarray
+    tx_axis: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def of(cls, luminaires: Sequence) -> "LuminaireArrays":
+        arrays = (
+            np.array([lum.tag for lum in luminaires]),
+            np.array([lum.emitter.power_w for lum in luminaires]),
+            np.array([lum.modulation.mod_index for lum in luminaires]),
+            np.array([lum.modulation.baseband_power for lum in luminaires]),
+            np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
+                      for lum in luminaires]),
+            np.array([[lum.pose.axis.x, lum.pose.axis.y, lum.pose.axis.z] for lum in luminaires]),
+            np.array([lum.emitter.lambertian_order for lum in luminaires]),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays)
+
+
 def electrical_signal_ms(
     gains: Sequence[float],
     emitters: Sequence[EmitterModel],
@@ -221,25 +256,22 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     """
     scenario.luminaires_for(data_tag_id)
     points = _as_points(positions)
-    luminaires = scenario.luminaires
+    lamps = scenario.luminaire_arrays
     detector = scenario.detector
-    data = np.array([lum.tag == data_tag_id for lum in luminaires])
-    power = np.array([lum.emitter.power_w for lum in luminaires])
-    mod_index = np.array([lum.modulation.mod_index for lum in luminaires])
-    baseband = np.array([lum.modulation.baseband_power for lum in luminaires])
+    data = lamps.tags == data_tag_id
     r = detector.responsivity_a_per_w
 
     h_data, received, signal, interference = array("d"), array("d"), array("d"), array("d")
-    step = max(1, _BLOCK_PAIRS // len(luminaires))
+    step = max(1, _BLOCK_PAIRS // len(data))
     for start in range(0, len(points), step):
         h = luminaire_gains(scenario, points[start:start + step])
         # A huge power_w, or a gain that overflowed to inf, overflows these
         # products; the columns they feed are not finite then, and
         # _check_budget rejects them.
         with np.errstate(over="ignore", invalid="ignore"):
-            amplitude = r * h * power * mod_index
-            terms = amplitude * amplitude * baseband
-            incident = h * power
+            amplitude = r * h * lamps.power * lamps.mod_index
+            terms = amplitude * amplitude * lamps.baseband
+            incident = h * lamps.power
         h_data.extend(map(_fsum_or_inf, h[:, data].tolist()))
         received.extend(map(_fsum_or_inf, incident.tolist()))
         signal.extend(map(_fsum_or_inf, terms[:, data].tolist()))
@@ -259,14 +291,11 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     times the result's size; ``evaluate_points`` calls it block by block.
     """
     points = _as_points(positions)
-    luminaires = scenario.luminaires
+    lamps = scenario.luminaire_arrays
+    tx, tx_axis = lamps.tx, lamps.tx_axis
     detector = scenario.detector
-    tx = np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
-                   for lum in luminaires])
-    tx_axis = np.array([[lum.pose.axis.x, lum.pose.axis.y, lum.pose.axis.z] for lum in luminaires])
-    order = np.array([lum.emitter.lambertian_order for lum in luminaires])
     rx_axis = scenario.receiver_axis
-    count = len(luminaires)
+    count = len(tx)
 
     # delta = rx - tx per pair, flattened point-major: pair k is point
     # k // count and luminaire k % count.
@@ -285,7 +314,7 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     front = (cos_theta > 0.0) & (cos_psi > 0.0)
     lit = seen[front]
     lamp = lamp[front]
-    m = order[lamp]
+    m = lamps.order[lamp]
     cos_theta_m = _each(pow, cos_theta[front], m)
     dist = d[lit]
     h = np.zeros(len(points) * count)

@@ -20,6 +20,12 @@ keys are rejected so typos cannot silently fall back to defaults):
                           thermal_a2 (0), isi_a2 (0)
 
 Values in parentheses are the defaults applied when a key is omitted.
+
+Documents are scanned and parsed by libyaml through PyYAML's C extension,
+which is required; PyYAML's Python composer and safe constructor build
+the objects, so a document nested too deeply raises RecursionError (a
+parse error here) instead of overflowing the C stack, and YAML syntax
+errors carry libyaml's wording.
 """
 
 from __future__ import annotations
@@ -32,11 +38,15 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.cyaml import CParser
+from yaml.resolver import Resolver
 
 from .channel import DetectorModel, EmitterModel
 from .errors import ParameterError, ScenarioParseError, ScenarioValidationError, TagNotFoundError
 from .geometry import Pose, Vec3
-from .link import LinkBudget, LinkColumns, ModulationParams, evaluate_points, luminaire_gains
+from .link import LinkBudget, LinkColumns, LuminaireArrays, ModulationParams, evaluate_points, luminaire_gains
 from .noise import NoiseParams
 
 _DOWN = Vec3(0.0, 0.0, -1.0)
@@ -102,6 +112,11 @@ class Scenario:
                     f"luminaire[{i}]: position must lie inside the room volume")
         if abs(self.receiver_axis.norm() - 1.0) > 1e-9:
             raise ScenarioValidationError("receiver axis must be a unit vector")
+
+    @cached_property
+    def luminaire_arrays(self) -> LuminaireArrays:
+        """The luminaires as read-only arrays for the batch kernel, built on first use."""
+        return LuminaireArrays.of(self.luminaires)
 
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""
@@ -227,7 +242,21 @@ def load_scenario(text: str) -> Scenario:
 
 def load_scenario_file(path: str | Path) -> Scenario:
     """Read and parse a scenario document from disk."""
-    return load_scenario(Path(path).read_text(encoding="utf-8"))
+    return load_scenario(read_scenario_text(path))
+
+
+def read_scenario_text(path: str | Path) -> str:
+    """Text of a scenario document on disk, decoded as UTF-8.
+
+    A file that is not UTF-8 raises ScenarioParseError naming the first
+    byte that does not decode; OSError propagates.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"document is not UTF-8: byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
+            f" ({exc.reason})") from None
 
 
 def _model_keys(model: type) -> tuple[tuple[str, object], ...]:
@@ -251,8 +280,19 @@ _SCHEMA = (
 _TEXT_KEYS = frozenset(("name", "description", "tag"))
 
 
-class _DocumentLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, except that a mapping key given twice is an error."""
+class _DocumentLoader(Composer, CParser, SafeConstructor, Resolver):
+    """PyYAML's safe loader on libyaml's parser; a mapping key given twice is an error.
+
+    The composer is PyYAML's Python one, not the C one of ``CSafeLoader``,
+    which recurses on the C stack and crashes the interpreter on a deeply
+    nested document.
+    """
+
+    def __init__(self, stream):
+        CParser.__init__(self, stream)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
 
     def construct_mapping(self, node, deep=False):
         mapping = super().construct_mapping(node, deep)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ledid
 from ledid import builtin_scenario_path
 from ledid.cli import main
 from ledid.export import CSV_HEADER
@@ -125,6 +131,33 @@ class TestInputContract:
     def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
         doc = "a: " + "[" * 1000 + "]" * 1000 + "\n" + SINGLE_LAMP_DOC
         assert "nested too deeply" in self._fails(tmp_path, capsys, doc, "validate")
+
+    @pytest.mark.parametrize("body", [
+        "[" * 100_000 + "]" * 100_000,
+        "\n  " + "- " * 100_000 + "1",
+    ], ids=["flow", "block"])
+    def test_nesting_far_past_the_limit_is_not_a_crash(self, tmp_path, body):
+        # In a child process, so that a parser recursing on the C stack
+        # shows as a signal instead of taking the test run down.
+        path = tmp_path / "doc.yaml"
+        path.write_text("a: " + body + "\n", encoding="utf-8")
+        src = str(Path(ledid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-m", "ledid", "validate", str(path)],
+                                capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode >= 0, f"killed by signal {-result.returncode}"
+        assert result.returncode == 1
+        assert "nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.yaml"
+        path.write_bytes(SINGLE_LAMP_DOC.encode("utf-8") + b"# caf\xe9\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        assert f"byte 0xe9 at position {len(SINGLE_LAMP_DOC) + 5}" in err
 
 
 class TestGrid:

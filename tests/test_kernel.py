@@ -6,6 +6,7 @@ coverage ladder all rest on that. Values are compared through
 ``float.hex`` so that even the sign of a zero counts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from ledid import (
     GeometryError,
     GridSpec,
     Luminaire,
+    ModulationParams,
     NoiseParams,
     ParameterError,
     Pose,
@@ -278,3 +280,49 @@ class TestAnalysisThroughTheKernel:
         scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=tuple(lamps), detector=DET)
         spacing = (lamps[-1].pose.position - lamps[-2].pose.position).norm()
         assert scenario_critical_distance(scenario) == spacing / math.tan(math.radians(30.0))
+
+
+def seeded_ceiling(seed=16):
+    """A 16 x 16 ceiling whose 256 lamps share 64 tags; offsets, powers, angles and mod_index seeded."""
+    rng = np.random.default_rng(seed)
+    tags = [f"t{k}" for k in rng.permutation(256) % 64]
+    lamps = [Luminaire(tags[16 * iy + ix],
+                       Pose(Vec3(0.25 * ix - 1.875 + float(rng.uniform(-0.05, 0.05)),
+                                 0.25 * iy - 1.875 + float(rng.uniform(-0.05, 0.05)), 3.0), DOWN),
+                       EmitterModel(power_w=float(rng.uniform(0.5, 2.0)),
+                                    semi_angle_deg=float(rng.choice([15.0, 20.0, 30.0, 45.0]))),
+                       ModulationParams(mod_index=float(rng.uniform(0.5, 1.0))))
+             for iy in range(16) for ix in range(16)]
+    return Scenario(room=Room(4.0, 4.0, 3.0), luminaires=tuple(lamps), detector=DET)
+
+
+class TestLuminaireArrays:
+    def test_cached_arrays_carry_no_per_tag_state(self):
+        # One Scenario object serves every tag in two orders; each call must
+        # still equal the scalar path at every foot of the tag's lamps.
+        scenario = seeded_ceiling()
+        plane_m = 1.2
+        z = scenario.room.height_m - plane_m
+        tags = scenario.tags()
+        assert len(tags) == 64
+        feet = {tag: [(lum.pose.position.x, lum.pose.position.y, z) for lum in scenario.luminaires_for(tag)]
+                for tag in tags}
+        budgets = {tag: [evaluate_link(scenario, Vec3(*p), tag) for p in feet[tag]] for tag in tags}
+        arrays = scenario.luminaire_arrays
+        for order in (tags, tags[::-1][1::2] + tags[::-1][::2]):
+            for tag in order:
+                columns = evaluate_points(scenario, feet[tag], tag)
+                expected = budgets[tag]
+                assert bits(columns.h_data) == bits(b.data_gain(tag) for b in expected)
+                for name in FIELDS:
+                    assert bits(getattr(columns, name)) == bits(getattr(b, name) for b in expected), name
+                assert bits(foot_bers(scenario, plane_m, tag)) == bits(b.ber for b in expected)
+        assert scenario.luminaire_arrays is arrays
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = seeded_ceiling().luminaire_arrays
+        for f in dataclasses.fields(arrays):
+            column = getattr(arrays, f.name)
+            assert len(column) == 256
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]

@@ -1,0 +1,139 @@
+"""The libyaml-based document loader against PyYAML's pure-Python one.
+
+``scenario._DocumentLoader`` scans and parses with libyaml and composes and
+constructs with PyYAML's Python classes. On generated scenario documents,
+and on documents broken by inserted characters and YAML fragments, it must
+build the same objects as ``yaml.SafeLoader`` (with the same duplicate-key
+rule), or both must raise. ``ledid validate`` on the same documents keeps
+the exit-code contract.
+
+The two scanners read three constructs differently (see the README); a
+document holding one of them is checked only where both loaders succeed:
+
+* a tab as separating white space (``a:\\tb``): libyaml accepts it,
+  PyYAML's scanner rejects it;
+* ``?`` inside a plain scalar in a flow collection (``{a: 1? 2}``): libyaml
+  reads a scalar, PyYAML ends the scalar at the ``?``;
+* a byte-order mark at the start of a later line: libyaml skips it (the
+  line's content then starts one column in), PyYAML reads it as content.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ledid.cli import main
+from ledid.errors import ScenarioParseError
+from ledid.scenario import _DocumentLoader
+
+NUMBERS = ("2.0", "2", "0.5", "1.0e-4", "1e3", "1.0e+300", "1_000", "0x1F", "0o17", "017", "1:30",
+           ".inf", "-.inf", ".nan", "~", "true", "'2.0'", "2001-12-14")
+TAGS = ("a", "a", "b", "b", "a-1", "'q'", "\"x.y\"", "1", "null", "é")
+FRAGMENTS = ("\x00", "\x01", "\x1b", "\x7f", "\x85", "\u2028", "\ufeff", "\t", "\r\n", "\r", "\n",
+             "[", "]", "{", "}", ",", ": ", "- ", "? ", "#", "'", "\"", "\\", "  ", "\n  ",
+             "&x ", "*x", "&x [*x]", "<<: *x\n", "<<: {x_m: 1}", "power_w: 2\n", "tag: a\n",
+             "1_000", "0x1F", "1:30", ".inf", "-.inf", ".nan", "!!str ", "!!int ", "!!float ",
+             "%YAML 1.1\n", "---\n", "...\n", "|\n", ">-\n", "é", "\U0001F600")
+
+
+class PythonLoader(yaml.SafeLoader):
+    """The oracle: PyYAML's pure-Python safe loader, duplicate keys rejected likewise."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):
+            raise ScenarioParseError("duplicate key")
+        return mapping
+
+
+def load(loader, text):
+    """repr of what ``loader`` builds from ``text``, or None if it raises."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError, RecursionError, ScenarioParseError):
+        return None
+
+
+def dialect_dependent(text):
+    return "\t" in text or "?" in text or "\ufeff" in text[1:]
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document in block or flow style, possibly off-schema."""
+
+    def mapping(pairs, indent, lead):
+        # lead goes before the first key of a block mapping: a line break
+        # and the indent, or a space after a list entry's "-".
+        if draw(st.booleans()):
+            return " {" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}"
+        return lead + f"\n{indent}".join(f"{key}: {value}" for key, value in pairs)
+
+    def number(default):
+        return draw(st.sampled_from(NUMBERS)) if draw(st.integers(0, 15)) == 0 else default
+
+    parts = []
+    if draw(st.booleans()):
+        parts.append("metadata:" + mapping([("name", draw(st.sampled_from(TAGS)))], "  ", "\n  "))
+    room = [(key, number("2.0")) for key in ("width_m", "depth_m", "height_m")]
+    parts.append("room:" + mapping(room, "  ", "\n  "))
+    entries = []
+    anchored = draw(st.booleans())
+    for i in range(draw(st.integers(1, 3))):
+        pairs = [("tag", draw(st.sampled_from(TAGS))), ("x_m", number(f"{0.1 * i:.1f}")),
+                 ("y_m", number("0.0")), ("z_m", number("2.0")), ("power_w", number("1.0")),
+                 ("semi_angle_deg", number("20.0"))]
+        if draw(st.booleans()):
+            pairs.append(("mod_index", number("1.0")))
+        if draw(st.integers(0, 9)) == 0:
+            pairs.append(draw(st.sampled_from(pairs)))  # a key given twice
+        if i > 0 and draw(st.integers(0, 3)) == 0:
+            pairs.append(("<<", "*lamp"))  # merge the first entry
+        anchor = "&lamp" if i == 0 and anchored else ""
+        body = mapping(pairs, "    ", "\n    " if anchor else " ")
+        entries.append(f"\n  -{' ' + anchor if anchor else ''}{body}")
+    parts.append("luminaire:" + "".join(entries))
+    detector = [("area_m2", number("1.0e-4")), ("fov_deg", number("60.0")), ("gain", number("1.3"))]
+    parts.append("detector:" + mapping(detector, "  ", "\n  "))
+    if draw(st.booleans()):
+        parts.append("noise:" + mapping([("i2", number("0.56")), ("isi_a2", number("0.0"))], "  ", "\n  "))
+    return "\n".join(draw(st.permutations(parts))) + "\n"
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(scenario_documents())
+    inserts = draw(st.lists(st.tuples(st.integers(0, len(text)),
+                                      st.one_of(st.sampled_from(FRAGMENTS),
+                                                st.characters(blacklist_categories=("Cs",)))),
+                            max_size=4))
+    for position, fragment in sorted(inserts, reverse=True):
+        text = text[:position] + fragment + text[position:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_loader_matches_the_python_safe_loader(text):
+    ours, reference = load(_DocumentLoader, text), load(PythonLoader, text)
+    if dialect_dependent(text) and None in (ours, reference):
+        return
+    assert ours == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def test_validate_keeps_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.yaml"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -127,6 +127,12 @@ class TestLoader:
     def test_shipped_g1_round_trips_to_builtin(self):
         assert load_scenario_file(builtin_scenario_path("g1")) == builtin_g1()
 
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "doc.yaml"
+        path.write_bytes(b"\xff" + MINIMAL_DOC.encode("utf-8"))
+        with pytest.raises(ScenarioParseError, match="byte 0xff at position 0"):
+            load_scenario_file(path)
+
     def test_luminaire_outside_room_is_rejected(self):
         doc = MINIMAL_DOC.replace("x_m: 0.0", "x_m: 1.5")
         with pytest.raises(ScenarioValidationError, match=r"luminaire\[0\]"):
