@@ -17,7 +17,8 @@ again. Every scenario with more than one luminaire therefore takes a
 linear scan at 1 cm steps out to 100 m and keeps the last passing step;
 when the last step still passes, bracketing and bisection go on from
 100 m. The scan's whole ladder is one batch through ``evaluate_points``;
-the bisection steps are single points through the same call. The
+the bisection steps are single points through the same call. A probe
+that lands on a luminaire has no link budget and counts as failing. The
 off-axis angle is swept at half the maximum reliable distance with the
 receiver keeping the scenario's receiver orientation; both the
 measurement fraction and the threshold are explicit parameters.
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GeometryError, ParameterError
 from .geometry import Vec3
 from .link import evaluate_points
 from .scenario import Scenario
@@ -180,46 +180,54 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     axis = lamps[0].pose.axis
     side = _perpendicular(axis)
 
-    def bers_at(distances: list[float], angle_deg: float = 0.0) -> Sequence[float]:
+    def passes(distances, angle_deg: float = 0.0) -> np.ndarray:
         # Each position is origin + direction.scaled(distance), component
         # by component, as Vec3 arithmetic computes it.
         a = math.radians(angle_deg)
         direction = axis.scaled(math.cos(a)) + side.scaled(math.sin(a))
-        steps = np.array(distances)[:, None]
+        steps = np.asarray(distances, dtype=float)[:, None]
         positions = (origin.x, origin.y, origin.z) + steps * (direction.x, direction.y, direction.z)
-        return evaluate_points(scenario, positions, tag_id).ber
+        try:
+            return np.asarray(evaluate_points(scenario, positions, tag_id).ber) <= threshold
+        except GeometryError:
+            # A probe on a luminaire fails; halving the batch finds it.
+            if len(steps) == 1:
+                return np.zeros(1, dtype=bool)
+            half = len(steps) // 2
+            return np.concatenate((passes(distances[:half], angle_deg), passes(distances[half:], angle_deg)))
 
     def ok(distance: float) -> bool:
-        return bers_at([distance])[0] <= threshold
+        return passes([distance])[0]
 
     if not ok(_BRACKET_START_M):
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
-    if len(scenario.luminaires) > 1:
-        ladder = [k * _SCAN_STEP_M for k in range(1, _SCAN_STEPS + 1)]
-        distance = _scan_last_crossing(ok, [ber <= threshold for ber in bers_at(ladder)])
-    else:
+    if len(scenario.luminaires) == 1:
         distance = _bracket_and_bisect(ok)
+    else:
+        # Interference can make the error rate dip and rise along the ray,
+        # so take the last passing step of the whole ladder, then refine
+        # locally. Step 1 is the point that just passed, so one exists.
+        # Past the ladder's end every lamp is far off, and the search goes
+        # on by bracketing and bisection.
+        last = int(np.flatnonzero(passes(np.arange(1, _SCAN_STEPS + 1) * _SCAN_STEP_M))[-1]) + 1
+        if last == _SCAN_STEPS:
+            distance = _bracket_and_bisect(ok, _SCAN_CAP_M)
+        else:
+            distance = _bisect(ok, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
     if math.isinf(distance):
         return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
 
     radius = angle_distance_fraction * distance
 
     def angle_ok(angle_deg: float) -> bool:
-        return bers_at([radius], angle_deg)[0] <= threshold
+        return passes([radius], angle_deg)[0]
 
     if angle_ok(90.0):
         angle = 90.0
     elif not angle_ok(0.0):
         angle = 0.0
     else:
-        lo, hi = 0.0, 90.0
-        while hi - lo > _ANGLE_TOL_DEG:
-            mid = 0.5 * (lo + hi)
-            if angle_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        angle = lo
+        angle = _bisect(angle_ok, 0.0, 90.0, _ANGLE_TOL_DEG)
     return CoverageReport(tag_id, distance, angle, threshold)
 
 
@@ -232,28 +240,13 @@ def _bracket_and_bisect(ok, lo: float = _BRACKET_START_M) -> float:
         hi *= 2.0
         if hi > _BRACKET_CAP_M:
             return UNBOUNDED
-    while hi - lo > _DISTANCE_TOL_M:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(ok, lo, hi, _DISTANCE_TOL_M)
 
 
-def _scan_last_crossing(ok, passes: list[bool]) -> float:
-    # Interference can make the error rate dip and rise along the ray, so
-    # find the last passing step of the whole ladder (``passes[k - 1]`` is
-    # step k), then refine locally. Past the ladder's end every lamp is far
-    # off, and the search goes on by bracketing and bisection.
-    last_pass = max((k for k, passed in enumerate(passes, 1) if passed), default=None)
-    if last_pass is None:
-        return _BRACKET_START_M
-    if last_pass == _SCAN_STEPS:
-        return _bracket_and_bisect(ok, _SCAN_CAP_M)
-    lo = last_pass * _SCAN_STEP_M
-    hi = (last_pass + 1) * _SCAN_STEP_M
-    while hi - lo > _DISTANCE_TOL_M:
+def _bisect(ok, lo: float, hi: float, tol: float) -> float:
+    # With ok(lo) passing and ok(hi) failing, halve [lo, hi] until it is
+    # at most tol wide; return the passing end.
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

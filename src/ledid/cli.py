@@ -6,12 +6,16 @@ depends on the clock, locale or environment.
 
 Exit codes: 0 success, 1 domain error (parse/validation failures, unknown
 tags, unwritable outputs), 2 usage error (bad flags, missing files).
+Standard output counts as an output: when its reader has gone (``ledid
+validate l1.yaml | head -n 0``) the command exits 1 and prints nothing,
+since it may have stopped before the end of its work.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +31,20 @@ _WORKERS_HELP = "accepted for compatibility (>= 1); changes neither output nor s
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing to say to a reader that has gone. Standard output now
+        # points at the null device, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -37,6 +55,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise
     except (LedIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import DetectorModel, EmitterModel, channel_gain
-from .errors import GeometryError, ParameterError, TagNotFoundError
+from .errors import GeometryError, ParameterError
 from .geometry import Pose, Vec3
 from .noise import total_noise_variance
 
@@ -207,9 +207,7 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
     others interfere. The shot-noise power is driven by the total incident
     optical power from both sets.
     """
-    luminaires = scenario.luminaires
-    if not any(lum.tag == data_tag_id for lum in luminaires):
-        raise TagNotFoundError(f"no luminaire carries tag {data_tag_id!r}")
+    scenario.luminaires_for(data_tag_id)
     detector = scenario.detector
     rx = Pose(position, scenario.receiver_axis)
 
@@ -218,7 +216,7 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
     signal_terms = []
     interference_terms = []
     r = detector.responsivity_a_per_w
-    for lum in luminaires:
+    for lum in scenario.luminaires:
         h = channel_gain(lum.pose, lum.emitter, rx, detector)
         gains.append((lum.tag, h))
         power_terms.append(h * lum.emitter.power_w)

@@ -12,11 +12,14 @@ and errs when the wrong branch wins. Integrating the Rician-vs-Rayleigh
 comparison gives exactly exp(-snr/2) / 2, so the estimator must agree with
 the closed form within binomial error.
 
-Randomness is pinned so estimates are byte-reproducible everywhere:
-a Philox 4x64-10 counter-based generator (NumPy's implementation, seeded
-through SeedSequence) supplies uniforms in [0, 1); Gaussians come from an
-explicit Box-Muller transform of consecutive uniform pairs. Trial i always
-consumes draws 4i .. 4i+3, independent of batching.
+Randomness is pinned so estimates are reproducible bit for bit on the
+same numpy build and CPU features: a Philox 4x64-10 counter-based
+generator (NumPy's implementation, seeded through SeedSequence) supplies
+uniforms in [0, 1); Gaussians come from an explicit Box-Muller transform
+of consecutive uniform pairs. Trial i always consumes draws 4i .. 4i+3,
+independent of batching. The transform's ``np.log1p``, ``np.cos`` and
+``np.sin`` may take SIMD paths that differ from the C library in the last
+bit, so other hardware may give other last digits.
 
 All points of one ``agreement_report`` share the seed, so the report draws
 each batch of uniforms and computes g1..g4 once, then scores every SNR

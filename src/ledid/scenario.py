@@ -338,43 +338,13 @@ def load_scenario_with_defaults(text: str) -> tuple[Scenario, tuple[str, ...]]:
 
 
 def builtin_l1() -> Scenario:
-    """Three tags in a line at 16 cm pitch, centered under a 2 m ceiling."""
-    emitter = EmitterModel(power_w=1.0, semi_angle_deg=20.0)
-    layout = (("outer-left", -0.16), ("inner", 0.0), ("outer-right", 0.16))
-    luminaires = tuple(
-        Luminaire(tag=tag, pose=Pose(Vec3(x, 0.0, 2.0), _DOWN), emitter=emitter)
-        for tag, x in layout
-    )
-    return Scenario(
-        room=Room(2.0, 2.0, 2.0),
-        luminaires=luminaires,
-        detector=DetectorModel(area_m2=1.0e-4, fov_deg=60.0, gain=1.3),
-        noise=NoiseParams(),
-        name="L1",
-        description="three luminaires in a line at 16 cm spacing",
-    )
+    """Three tags in a line at 16 cm pitch, centered under a 2 m ceiling (shipped ``l1.yaml``)."""
+    return load_scenario_file(builtin_scenario_path("l1"))
 
 
 def builtin_g1() -> Scenario:
-    """Nine tags on a 3x3 grid at 16 cm pitch, centered under a 2 m ceiling."""
-    emitter = EmitterModel(power_w=1.0, semi_angle_deg=20.0)
-    layout = (
-        ("nw", -0.16, 0.16), ("n", 0.0, 0.16), ("ne", 0.16, 0.16),
-        ("w", -0.16, 0.0), ("center", 0.0, 0.0), ("e", 0.16, 0.0),
-        ("sw", -0.16, -0.16), ("s", 0.0, -0.16), ("se", 0.16, -0.16),
-    )
-    luminaires = tuple(
-        Luminaire(tag=tag, pose=Pose(Vec3(x, y, 2.0), _DOWN), emitter=emitter)
-        for tag, x, y in layout
-    )
-    return Scenario(
-        room=Room(2.0, 2.0, 2.0),
-        luminaires=luminaires,
-        detector=DetectorModel(area_m2=1.0e-4, fov_deg=60.0, gain=1.3),
-        noise=NoiseParams(),
-        name="G1",
-        description="nine luminaires on a 3x3 grid at 16 cm spacing",
-    )
+    """Nine tags on a 3x3 grid at 16 cm pitch, centered under a 2 m ceiling (shipped ``g1.yaml``)."""
+    return load_scenario_file(builtin_scenario_path("g1"))
 
 
 def builtin_scenario_path(name: str) -> Path:

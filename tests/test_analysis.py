@@ -9,6 +9,7 @@ from ledid import (
     DetectorModel,
     ELECTRON_CHARGE_C,
     EmitterModel,
+    GeometryError,
     Luminaire,
     NoiseParams,
     ParameterError,
@@ -208,6 +209,39 @@ class TestCoverage:
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
             coverage(builtin_l1(), "inner", threshold=0.0)
+
+
+class TestProbeOnALamp:
+    """A coverage probe that lands exactly on a luminaire fails instead of aborting."""
+
+    def test_ladder_through_a_lower_lamp(self):
+        # Ladder step 100 (1.0 m down from the top lamp) is the low lamp.
+        lamps = (Luminaire("top", Pose(Vec3(0.0, 0.0, 3.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=20.0)),
+                 Luminaire("low", Pose(Vec3(0.0, 0.0, 2.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=20.0)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET)
+        with pytest.raises(GeometryError):
+            evaluate_link(scenario, Vec3(0.0, 0.0, 3.0 - 100 * 0.01), "top")
+        report = coverage(scenario, "top")
+        # Between the lamps nothing interferes and nothing is noise; past
+        # the low lamp its light drowns the top one.
+        assert 0.999 <= report.max_reliable_distance_m < 1.0
+        assert evaluate_link(scenario, Vec3(0.0, 0.0, 3.0 - report.max_reliable_distance_m), "top").ber <= 1e-2
+        assert evaluate_link(scenario, Vec3(0.0, 0.0, 3.0 - 1.01), "top").ber > 1e-2
+
+    def test_right_angle_probe_on_the_next_lamp(self):
+        # Measured at 16 cm from the outer-left lamp, the 90 degree probe is
+        # the inner lamp itself.
+        scenario = builtin_l1()
+        distance = coverage(scenario, "outer-left").max_reliable_distance_m
+        fraction = 0.16 / distance
+        assert fraction * distance == 0.16
+        a = math.radians(90.0)
+        direction = Vec3(0.0, 0.0, -1.0).scaled(math.cos(a)) + Vec3(1.0, 0.0, 0.0).scaled(math.sin(a))
+        with pytest.raises(GeometryError):
+            evaluate_link(scenario, Vec3(-0.16, 0.0, 2.0) + direction.scaled(0.16), "outer-left")
+        report = coverage(scenario, "outer-left", angle_distance_fraction=fraction)
+        assert report.max_reliable_distance_m == distance
+        assert 0.0 < report.max_reliable_angle_deg < 90.0
 
 
 def ladder_scan_distance(scenario, tag, threshold=1e-2, step=0.01, steps=10_000):

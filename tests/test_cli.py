@@ -189,6 +189,23 @@ class TestGrid:
             ber = float(fields[8])
             assert 0.0 <= ber <= 0.5
 
+    @pytest.mark.parametrize("path, tag", [(L1_PATH, "outer-left"), (G1_PATH, "center"), (G1_PATH, "ne")],
+                             ids=["L1-outer-left", "G1-center", "G1-ne"])
+    def test_csv_parses_back_to_the_grid(self, tmp_path, path, tag):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", path, "--tag", tag, "--plane-cm", "35", "--res", "12", "--out", str(out)]) == 0
+        scenario = ledid.load_scenario_file(path)
+        grid = ledid.evaluate_grid(scenario, ledid.GridSpec.for_room(scenario.room, 0.35, 12), tag)
+        c = grid.columns
+        values = zip(c.h_data, c.signal_ms_a2, c.interference_ms_a2, c.noise_variance_a2, c.snr, c.ber)
+        cells = [(x, y, *next(values)) for y in grid.y_centers_m for x in grid.x_centers_m]
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            fields = row.split(",")
+            assert fields[2] == tag
+            assert [float(field) for field in fields[:2] + fields[3:]] == list(cell)
+
     def test_heatmap_is_plain_pgm(self, tmp_path):
         csv_path = tmp_path / "grid.csv"
         pgm_path = tmp_path / "grid.pgm"
@@ -276,6 +293,21 @@ class TestCoverage:
         assert main(["coverage", str(doc), "--tag", "solo"]) == 0
         assert "max_reliable_distance_m=unbounded" in capsys.readouterr().out
 
+    def test_probe_on_a_lamp_is_scored_not_an_error(self, tmp_path, capsys):
+        # Ladder step 100 from the top lamp lands on the low lamp.
+        doc = tmp_path / "stacked.yaml"
+        doc.write_text("""
+room: {width_m: 4.0, depth_m: 4.0, height_m: 3.0}
+luminaire:
+  - {tag: top, x_m: 0.0, y_m: 0.0, z_m: 3.0, power_w: 1.0, semi_angle_deg: 20.0}
+  - {tag: low, x_m: 0.0, y_m: 0.0, z_m: 2.0, power_w: 1.0, semi_angle_deg: 20.0}
+detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
+""")
+        assert main(["coverage", str(doc), "--tag", "top"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "max_reliable_distance_m=0.999375" in captured.out
+
 
 class TestResolve:
     def test_l1_thirty_cm(self, capsys):
@@ -329,6 +361,30 @@ class TestMcVerify:
     def test_infinite_snr_is_scored(self, capsys):
         assert main(["mc-verify", "--snr-list", "inf", "--trials", "1000", "--seed", "3"]) == 0
         assert "snr=inf analytic=0.0 estimate=0.0 std_error=0.0 pass" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [["validate", G1_PATH], ["resolve", G1_PATH, "--plane-cm", "30"]],
+                             ids=["validate", "resolve"])
+    def test_reader_gone_exits_one_silently(self, args, unbuffered):
+        # The pipe's read end is closed before the child starts, so its
+        # writes to stdout fail with EPIPE: buffered, at the final flush;
+        # unbuffered, at the first print.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(ledid.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            result = subprocess.run([sys.executable, "-m", "ledid", *args], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode == 1
 
 
 def test_no_command_is_a_usage_error(capsys):
