@@ -11,6 +11,10 @@ concentrator gain g sitting at distance d collects the dimensionless gain
 
 as long as the incidence angle psi stays within F. Outside the field of
 view, or behind either the emitter or the detector face, the gain is zero.
+No angle is computed: with delta the emitter-to-receiver vector, cos(theta)
+= (tx axis . delta) / d and cos(psi) = -(rx axis . delta) / d, the cosines
+for unit axes (``Pose`` holds axes to unit length within 1e-9), and the
+field of view is the test cos(psi) >= cos(F).
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
-from .geometry import Pose, link_geometry
+from .errors import GeometryError, ParameterError
+from .geometry import Pose
 
 
 def lambertian_order(semi_angle_deg: float) -> float:
@@ -61,7 +65,8 @@ class DetectorModel:
 
     ``gain`` is the (constant) optical concentrator gain; ``responsivity``
     converts incident optical watts to photocurrent amperes; ``bandwidth``
-    is the equivalent noise bandwidth of the receiver chain.
+    is the equivalent noise bandwidth of the receiver chain; ``cos_fov`` is
+    cos(fov_deg), positive for every legal field of view.
     """
 
     area_m2: float
@@ -69,6 +74,7 @@ class DetectorModel:
     gain: float
     responsivity_a_per_w: float = 0.54
     bandwidth_hz: float = 1.0e4
+    cos_fov: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fov_deg <= 90.0:
@@ -77,6 +83,7 @@ class DetectorModel:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{name}: must be positive and finite, got {value}")
+        object.__setattr__(self, "cos_fov", math.cos(math.radians(self.fov_deg)))
 
 
 def radiant_intensity(theta_rad: float, emitter: EmitterModel) -> float:
@@ -96,12 +103,14 @@ def channel_gain(tx: Pose, emitter: EmitterModel, rx: Pose, detector: DetectorMo
     90 degrees off boresight and incidence from behind the detector both
     yield zero as well.
     """
-    d, theta, psi = link_geometry(tx, rx)
-    if psi > math.radians(detector.fov_deg):
-        return 0.0
-    cos_theta = math.cos(theta)
-    cos_psi = math.cos(psi)
-    if cos_theta <= 0.0 or cos_psi <= 0.0:
+    delta = rx.position - tx.position
+    d = delta.norm()
+    if d == 0.0:
+        raise GeometryError("emitter and receiver positions coincide")
+    cos_theta = tx.axis.dot(delta) / d
+    cos_psi = -rx.axis.dot(delta) / d
+    # cos_fov > 0, so this also rejects light from behind the detector.
+    if cos_psi < detector.cos_fov or cos_theta <= 0.0:
         return 0.0
     m = emitter.lambertian_order
     return (m + 1.0) * detector.area_m2 * cos_theta ** m * cos_psi * detector.gain / (2.0 * math.pi * d * d)

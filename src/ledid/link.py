@@ -25,16 +25,15 @@ as columns, and every value it returns is bit-identical to the scalar one:
 * numpy does only what IEEE 754 rounds exactly (+, -, *, /, sqrt and
   comparisons), in the scalar code's operation order, e.g.
   ``((m+1) A) cos(theta)^m cos(psi) g / ((2 pi d) d)``; elementwise these
-  give the same bits as the same Python float expression.
-* Every transcendental goes through the call the scalar path makes, mapped
-  over Python floats: ``math.atan2``, ``math.cos`` and float ``pow``.
-  numpy's own ``arctan2``, ``power`` and ``exp`` differ from the C library
-  in the last bit on some inputs and machines, so none is used.
+  give the same bits as the same Python float expression. That covers the
+  cosines, dot products over d, and the field-of-view test on cos(psi).
+* The one transcendental is float ``pow`` for cos(theta)^m, called on
+  Python floats for the lit pairs only, where both cosines are positive
+  (a negative base would give a complex power). numpy's ``power`` and
+  ``exp`` differ from the C library in the last bit on some inputs and
+  machines, so neither is used.
 * Sums over luminaires use ``math.fsum`` per point, as the scalar path
   does; a correctly rounded sum does not depend on term order.
-* theta is computed only where psi passes the field of view, and the power
-  only where both cosines are positive: there ``channel_gain`` returns 0.0,
-  and a float ``pow`` of a negative base would be complex.
 * Noise, SNR and BER are the scalar functions applied per point.
 """
 
@@ -293,35 +292,28 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     tx, tx_axis = lamps.tx, lamps.tx_axis
     detector = scenario.detector
     rx_axis = scenario.receiver_axis
-    count = len(tx)
 
-    # delta = rx - tx per pair, flattened point-major: pair k is point
-    # k // count and luminaire k % count.
-    dx = (points[:, 0:1] - tx[:, 0]).ravel()
-    dy = (points[:, 1:2] - tx[:, 1]).ravel()
-    dz = (points[:, 2:3] - tx[:, 2]).ravel()
+    # delta = rx - tx; entry [i, j] pairs position i with luminaire j.
+    dx = points[:, 0:1] - tx[:, 0]
+    dy = points[:, 1:2] - tx[:, 1]
+    dz = points[:, 2:3] - tx[:, 2]
     d = np.sqrt(dx * dx + dy * dy + dz * dz)
     if not d.all():
         raise GeometryError("emitter and receiver positions coincide")
-    psi = _angles(rx_axis.x, rx_axis.y, rx_axis.z, -dx, -dy, -dz)
-    seen = np.flatnonzero(psi <= math.radians(detector.fov_deg))
-    lamp = seen % count
-    theta = _angles(tx_axis[lamp, 0], tx_axis[lamp, 1], tx_axis[lamp, 2], dx[seen], dy[seen], dz[seen])
-    cos_theta = _each(math.cos, theta)
-    cos_psi = _each(math.cos, psi[seen])
-    front = (cos_theta > 0.0) & (cos_psi > 0.0)
-    lit = seen[front]
-    lamp = lamp[front]
-    m = lamps.order[lamp]
-    cos_theta_m = _each(pow, cos_theta[front], m)
+    cos_theta = (tx_axis[:, 0] * dx + tx_axis[:, 1] * dy + tx_axis[:, 2] * dz) / d
+    cos_psi = -(rx_axis.x * dx + rx_axis.y * dy + rx_axis.z * dz) / d
+    # channel_gain's zero test, negated, so a nan cosine is lit in both.
+    lit = ~((cos_psi < detector.cos_fov) | (cos_theta <= 0.0))
+    m = np.broadcast_to(lamps.order, lit.shape)[lit]
+    cos_theta_m = np.fromiter(map(pow, cos_theta[lit].tolist(), m.tolist()), float, len(m))
     dist = d[lit]
-    h = np.zeros(len(points) * count)
+    h = np.zeros(lit.shape)
     # A huge area_m2 or gain overflows this product to inf (or nan against
     # a zero cosine power); evaluate_points rejects the budget that follows.
     with np.errstate(over="ignore", invalid="ignore"):
-        h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[front] * detector.gain
+        h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[lit] * detector.gain
                   / (2.0 * math.pi * dist * dist))
-    return h.reshape(len(points), count)
+    return h
 
 
 def _check_budget(received_power, signal_ms, interference_ms, noise_variance) -> None:
@@ -351,19 +343,3 @@ def _as_points(positions) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ParameterError("position components must be finite")
     return points
-
-
-def _angles(ax, ay, az, vx, vy, vz) -> np.ndarray:
-    # geometry._angle_between over arrays: atan2(|a x v|, a . v).
-    cx = ay * vz - az * vy
-    cy = az * vx - ax * vz
-    cz = ax * vy - ay * vx
-    cross = np.sqrt(cx * cx + cy * cy + cz * cz)
-    dot = ax * vx + ay * vy + az * vz
-    return _each(math.atan2, cross, dot)
-
-
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    # ``fn`` applied element by element to Python floats: the very call the
-    # scalar path makes, so the results carry the same bits.
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ledid
 from ledid import builtin_scenario_path
@@ -252,6 +257,17 @@ class TestSweep:
         assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm", " , ",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flags", [["--tag", "inner", "--planes-cm", "30,40", "--res", "1"],
+                                       ["--tag", "inner", "--planes-cm", "30,-40"],
+                                       ["--tag", "nope", "--planes-cm", "30"]],
+                             ids=["res", "second-plane", "tag"])
+    def test_bad_flag_or_tag_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "sweep"
+        assert main(["sweep", L1_PATH, *flags, "--out", str(out)]) in (1, 2)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert not out.exists()
+
     def test_g1_center_smoke(self, tmp_path, capsys):
         assert main(["sweep", G1_PATH, "--tag", "center", "--planes-cm", "30",
                      "--res", "6", "--out", str(tmp_path / "g1")]) == 0
@@ -358,6 +374,13 @@ class TestMcVerify:
         assert captured.out == ""
         assert captured.err.startswith("usage error: --snr-list")
 
+    def test_disagreement_is_reported_as_an_error(self, capsys):
+        # One trial per point: an estimate of 0 or 1 with no spread, so both miss.
+        assert main(["mc-verify", "--snr-list", "0,0", "--trials", "1", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("agreement=0/2 ok=no\n")
+        assert captured.err == "error: 2 of 2 estimates miss the analytic BER by more than 3 standard errors\n"
+
     def test_infinite_snr_is_scored(self, capsys):
         assert main(["mc-verify", "--snr-list", "inf", "--trials", "1000", "--seed", "3"]) == 0
         assert "snr=inf analytic=0.0 estimate=0.0 std_error=0.0 pass" in capsys.readouterr().out
@@ -390,3 +413,51 @@ class TestClosedStdout:
 def test_no_command_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# Flag values for the fuzzing property: valid, on a boundary, or garbage,
+# with garbage drawn half of the time. --res and --trials stay small.
+GARBAGE = ("nan", "NaN", "inf", "-inf", "-0", "1e400", "-1e400", "0x10", "", " ", "-1", "1,2", "abc", "2.5")
+
+
+def flag_values(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(GARBAGE))
+
+
+def int_values(low, high):
+    return flag_values(*map(str, range(low, high + 1)))
+
+
+def value_lists(*valid):
+    return st.lists(flag_values(*valid), min_size=1, max_size=3).map(",".join)
+
+
+PLANES = ("30", "40", "1e-300", "300")
+FLAGS = {
+    "grid": {"--tag": flag_values("inner", "outer-left", "nope"), "--plane-cm": flag_values(*PLANES),
+             "--res": int_values(-1, 12), "--workers": int_values(-1, 3)},
+    "sweep": {"--tag": flag_values("inner", "outer-right"), "--planes-cm": value_lists(*PLANES),
+              "--res": int_values(-1, 12), "--workers": int_values(-1, 3)},
+    "coverage": {"--tag": flag_values("inner", "outer-left"), "--threshold": flag_values("1e-2", "0.5", "1", "1e-300")},
+    "resolve": {"--plane-cm": flag_values(*PLANES), "--threshold": flag_values("1e-2", "0.5", "1", "1e-300")},
+    "mc-verify": {"--snr-list": value_lists("0", "4", "1e-300", "700"),
+                  "--trials": st.one_of(st.integers(-1, 2000).map(str), st.sampled_from(GARBAGE)),
+                  "--seed": flag_values("0", "37", str(2 ** 64 - 1), str(2 ** 64))},
+}
+
+
+class TestFlagFuzzing:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(FLAGS)), st.data())
+    def test_every_flag_keeps_the_exit_code_contract(self, command, data):
+        flags = [f"{flag}={data.draw(values, label=flag)}" for flag, values in FLAGS[command].items()]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [] if command == "mc-verify" else [L1_PATH]
+            if command in ("grid", "sweep"):
+                files += ["--out", str(Path(tmp) / "out")]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *files, *flags])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("error:") == (code != 0), err.getvalue()

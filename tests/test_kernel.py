@@ -34,6 +34,7 @@ from ledid import (
     evaluate_grid,
     evaluate_link,
     evaluate_points,
+    link_geometry,
     scenario_critical_distance,
 )
 from ledid.analysis import foot_bers
@@ -329,3 +330,42 @@ class TestLuminaireArrays:
             assert len(column) == 256
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
+
+
+class TestFieldOfViewEdge:
+    """The last lit and first dark receiver positions at the field-of-view edge.
+
+    A receiver on the plane z = 1.7 moves along +x, away from a lamp at
+    (0, 0, 2); bisection over the lateral offset finds two adjacent floats
+    where the scalar gain turns from positive to zero. The kernel must draw
+    the edge between the very same two floats.
+    """
+
+    @pytest.mark.parametrize("fov_deg, tilt_deg", [(60.0, 0.0), (60.0, 20.0), (90.0, 30.0)],
+                             ids=["fov60", "fov60-tilted", "fov90-tilted"])
+    def test_both_paths_cut_at_the_same_float(self, fov_deg, tilt_deg):
+        tilt = math.radians(tilt_deg)
+        axis = Vec3(math.sin(tilt), 0.0, math.cos(tilt))  # tilted toward +x, away from the lamp
+        scenario = Scenario(room=Room(4.0, 4.0, 2.0),
+                            luminaires=(Luminaire("solo", Pose(Vec3(0.0, 0.0, 2.0), DOWN),
+                                                  EmitterModel(power_w=1.0, semi_angle_deg=60.0)),),
+                            detector=DetectorModel(area_m2=1e-4, fov_deg=fov_deg, gain=1.3),
+                            receiver_axis=axis)
+
+        def gain(x):
+            return evaluate_link(scenario, Vec3(x, 0.0, 1.7), "solo").data_gain("solo")
+
+        inside, outside = 0.0, 1.9
+        assert gain(inside) > 0.0 and gain(outside) == 0.0
+        while math.nextafter(inside, outside) != outside:
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if gain(mid) > 0.0 else (inside, mid)
+        assert gain(inside) > 0.0 and gain(outside) == 0.0
+        # The edge is the field of view's: psi there is the semi-angle, to
+        # within rounding, and the emitter still faces the receiver.
+        for x in (inside, outside):
+            _, theta, psi = link_geometry(scenario.luminaires[0].pose, Pose(Vec3(x, 0.0, 1.7), axis))
+            assert psi == pytest.approx(math.radians(fov_deg), abs=1e-12)
+            assert theta < math.radians(80.0)
+        columns = assert_matches_scalar(scenario, [(inside, 0.0, 1.7), (outside, 0.0, 1.7)], "solo")
+        assert columns.h_data[0] > 0.0 and columns.h_data[1] == 0.0

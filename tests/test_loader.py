@@ -7,7 +7,7 @@ build the same objects as ``yaml.SafeLoader`` (with the same duplicate-key
 rule), or both must raise. ``ledid validate`` on the same documents keeps
 the exit-code contract.
 
-The two scanners read three constructs differently (see the README); a
+The two scanners read four constructs differently (see the README); a
 document holding one of them is checked only where both loaders succeed:
 
 * a tab as separating white space (``a:\\tb``): libyaml accepts it,
@@ -15,14 +15,18 @@ document holding one of them is checked only where both loaders succeed:
 * ``?`` inside a plain scalar in a flow collection (``{a: 1? 2}``): libyaml
   reads a scalar, PyYAML ends the scalar at the ``?``;
 * a byte-order mark at the start of a later line: libyaml skips it (the
-  line's content then starts one column in), PyYAML reads it as content.
+  line's content then starts one column in), PyYAML reads it as content;
+* a ``:`` followed directly by ``,``, ``]`` or ``}`` in a flow collection
+  (``{x_m:, 2.0}``): libyaml rejects it, PyYAML reads ``x_m: null``.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +64,7 @@ def load(loader, text):
 
 
 def dialect_dependent(text):
-    return "\t" in text or "?" in text or "\ufeff" in text[1:]
+    return "\t" in text or "?" in text or "\ufeff" in text[1:] or re.search(r":[,\]}]", text) is not None
 
 
 @st.composite
@@ -137,3 +141,16 @@ def test_validate_keeps_the_exit_code_contract(text):
             code = main(["validate", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["{x_m:, 2.0}", "{x_m:}", "[x_m:, 2]"])
+def test_empty_value_before_a_flow_indicator_is_a_parse_error(value, tmp_path, capsys):
+    # PyYAML's Python scanner would read x_m: null; libyaml rejects the ':'.
+    assert load(PythonLoader, f"a: {value}") is not None
+    path = tmp_path / "doc.yaml"
+    path.write_text(f"room: {{width_m: 2.0, depth_m: 2.0, height_m: 2.0}}\nextra: {value}\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: document is not valid YAML")
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
