@@ -22,6 +22,7 @@ from .errors import (
     GeometryError,
     LedIdError,
     ParameterError,
+    PlaneOutsideRoomError,
     ScenarioParseError,
     ScenarioValidationError,
     TagNotFoundError,
@@ -74,6 +75,7 @@ __all__ = [
     "ModulationParams",
     "NoiseParams",
     "ParameterError",
+    "PlaneOutsideRoomError",
     "Pose",
     "ResolvabilityReport",
     "Room",

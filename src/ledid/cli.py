@@ -171,7 +171,9 @@ def _float_list(flag: str, text: str, what: str) -> list[float]:
 def _grid_spec(scenario: Scenario, plane_cm: float, res: int) -> GridSpec:
     if res < 2:
         raise _UsageError(f"--res must be at least 2, got {res}")
-    return GridSpec.for_room(scenario.room, _positive("--plane-cm", plane_cm) / 100.0, res)
+    spec = GridSpec.for_room(scenario.room, _positive("--plane-cm", plane_cm) / 100.0, res)
+    scenario.room.plane_z(spec.plane_distance_m)
+    return spec
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -189,21 +191,26 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_for_grids(args)
     plane_values = _float_list("--planes-cm", args.planes_cm, "plane distance")
-    # Every flag and the tag are checked before anything is written.
+    # Every flag and the tag are checked, and every plane is evaluated,
+    # before anything is written: an error on any plane leaves no output.
     specs = [_grid_spec(scenario, plane_cm, args.res) for plane_cm in plane_values]
     scenario.luminaires_for(args.tag)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    planes = []
     for plane_cm, spec in zip(plane_values, specs):
         grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
         csv_path = out_dir / f"{args.tag}_plane{plane_cm:g}cm.csv"
-        write_grid_csv(grid, csv_path)
         # Summary: min and median of the error rate at the foot of each lamp.
         bers = sorted(foot_bers(scenario, plane_cm / 100.0, args.tag))
         n = len(bers)
         median = bers[n // 2] if n % 2 else 0.5 * (bers[n // 2 - 1] + bers[n // 2])
-        print(f"plane_cm={plane_cm:g} csv={csv_path} min_ber={bers[0]!r} median_ber={median!r}")
+        planes.append((grid, csv_path, f"plane_cm={plane_cm:g} csv={csv_path} min_ber={bers[0]!r} "
+                                       f"median_ber={median!r}"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for grid, csv_path, summary in planes:
+        write_grid_csv(grid, csv_path)
+        print(summary)
     return 0
 
 

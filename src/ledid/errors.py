@@ -28,3 +28,7 @@ class ScenarioParseError(LedIdError):
 
 class ScenarioValidationError(LedIdError):
     """A scenario document parses but violates a physical invariant."""
+
+
+class PlaneOutsideRoomError(ParameterError, ScenarioValidationError):
+    """A receiver plane lies outside the scenario's room."""

@@ -44,7 +44,8 @@ from yaml.cyaml import CParser
 from yaml.resolver import Resolver
 
 from .channel import DetectorModel, EmitterModel
-from .errors import ParameterError, ScenarioParseError, ScenarioValidationError, TagNotFoundError
+from .errors import (ParameterError, PlaneOutsideRoomError, ScenarioParseError, ScenarioValidationError,
+                     TagNotFoundError)
 from .geometry import Pose, Vec3
 from .link import LinkBudget, LinkColumns, LuminaireArrays, ModulationParams, evaluate_points, luminaire_gains
 from .noise import NoiseParams
@@ -76,6 +77,17 @@ class Room:
             and abs(point.y) <= 0.5 * self.depth_m
             and 0.0 <= point.z <= self.height_m
         )
+
+    def plane_z(self, plane_distance_m: float) -> float:
+        """Height of the receiver plane ``plane_distance_m`` below the ceiling.
+
+        The one rule for a plane in the room: the distance must lie in
+        (0, height_m], else PlaneOutsideRoomError.
+        """
+        if not 0.0 < plane_distance_m <= self.height_m:
+            raise PlaneOutsideRoomError(
+                f"plane distance must be in (0, {self.height_m}] m, got {plane_distance_m}")
+        return self.height_m - plane_distance_m
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ class BerGrid:
 
     @cached_property
     def cells(self) -> tuple[tuple[LinkBudget, ...], ...]:
-        z = self.scenario.room.height_m - self.spec.plane_distance_m
+        z = self.scenario.room.plane_z(self.spec.plane_distance_m)
         tags = [lum.tag for lum in self.scenario.luminaires]
         c = self.columns
         rows = []
@@ -222,10 +234,7 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
         raise ScenarioValidationError("grid x_range must lie within the room footprint")
     if spec.y_range[0] < -half_d or spec.y_range[1] > half_d:
         raise ScenarioValidationError("grid y_range must lie within the room footprint")
-    if spec.plane_distance_m > room.height_m:
-        raise ScenarioValidationError("plane distance must not exceed the room height")
-
-    z = room.height_m - spec.plane_distance_m
+    z = room.plane_z(spec.plane_distance_m)
     xs = _cell_centers(spec.x_range[0], spec.x_range[1], spec.resolution)
     ys = _cell_centers(spec.y_range[0], spec.y_range[1], spec.resolution)
     cells = len(xs) * len(ys)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ledid import analysis
 from ledid import (
     DetectorModel,
     ELECTRON_CHARGE_C,
@@ -244,16 +245,25 @@ class TestProbeOnALamp:
         assert 0.0 < report.max_reliable_angle_deg < 90.0
 
 
+def ladder_probes(scenario, tag):
+    """Positions at distances ``d`` down the boresight of the tag's first lamp."""
+    lamp = scenario.luminaires_for(tag)[0]
+    origin, axis = lamp.pose.position, lamp.pose.axis
+    return lambda d: np.column_stack([origin.x + d * axis.x, origin.y + d * axis.y, origin.z + d * axis.z])
+
+
+def ladder_passing(scenario, tag, threshold=1e-2, step=0.01, steps=10_000):
+    """Distances of the whole ladder and which of its steps pass, in one batch."""
+    d = np.arange(1, steps + 1) * step
+    return d, np.array(evaluate_points(scenario, ladder_probes(scenario, tag)(d), tag).ber) <= threshold
+
+
 def ladder_scan_distance(scenario, tag, threshold=1e-2, step=0.01, steps=10_000):
     """Coverage distance by the 1 cm ladder alone: the last passing step.
 
     0.0 when the first step already fails, inf when the last step passes.
     """
-    lamp = scenario.luminaires_for(tag)[0]
-    origin, axis = lamp.pose.position, lamp.pose.axis
-    d = np.arange(1, steps + 1) * step
-    positions = np.column_stack([origin.x + d * axis.x, origin.y + d * axis.y, origin.z + d * axis.z])
-    passing = np.array(evaluate_points(scenario, positions, tag).ber) <= threshold
+    d, passing = ladder_passing(scenario, tag, threshold, step, steps)
     if not passing[0]:
         return 0.0
     if passing[-1]:
@@ -327,3 +337,108 @@ class TestSharedTagCoverage:
         scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=tuple(lamps), detector=DET,
                             noise=NoiseParams(thermal_a2=10.0 ** log_thermal))
         assert_agrees_with_the_ladder(scenario, "t")
+
+
+def full_ladder(scenario, tag_id, probes, threshold):
+    """Stand-in for the ladder search that keeps every step."""
+    return np.arange(1, analysis._SCAN_STEPS + 1)
+
+
+def coverage_hex(scenario, tag, threshold=1e-2):
+    report = coverage(scenario, tag, threshold)
+    return report.max_reliable_distance_m.hex(), report.max_reliable_angle_deg.hex()
+
+
+floor_aims = st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+emitters = st.builds(EmitterModel, power_w=st.floats(0.2, 3.0), semi_angle_deg=st.floats(10.0, 60.0))
+# The data lamp on the ceiling, then 1-5 more: each at a point of the data
+# lamp's ray (0 m down is the ceiling) moved sideways, so that some sit
+# beside the ray or across it, with tags shared or not.
+mixed_layouts = st.tuples(
+    st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), floor_aims, emitters,
+    st.lists(st.tuples(st.sampled_from(("t", "u", "v")), st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
+                       st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), floor_aims, emitters),
+             min_size=1, max_size=5),
+)
+
+
+def lamp_pose(position, aim):
+    return Pose(position, DOWN) if aim is None else Pose.aimed(position, Vec3(*aim, 0.0))
+
+
+class TestLadderSearch:
+    """The coverage ladder skips only runs of steps that provably fail."""
+
+    @settings(max_examples=35, deadline=None)
+    @given(mixed_layouts, st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+           st.sampled_from((30.0, 60.0, 90.0)), st.floats(-10.0, -4.0), st.floats(-14.0, -8.0),
+           st.floats(-3.0, math.log10(5e-2)))
+    # A narrow lamp 0.5 m beside the ray, aimed 45 degrees down across it,
+    # lights the ray 2.8 m down, just above the threshold, inside a run
+    # whose ends are both farther from the lamp than that crossing: only
+    # the run's closest approach bounds the distance there.
+    @example(layout=(0.0, 0.0, None, EmitterModel(power_w=1.0, semi_angle_deg=20.0),
+                     [("t", 2.3, 0.5, 0.0, (-0.2, 0.0), EmitterModel(power_w=0.6, semi_angle_deg=10.0))]),
+             tilt=(0.0, 0.0), fov=60.0, log_background=-10.0, log_thermal=-8.0, log_threshold=-2.0)
+    # A strong interferer 0.3 m away on the ceiling stays outside the 30
+    # degree field of view over the ray's first half meter, where the data
+    # lamp passes: a lamp counts toward a run's interference bound only
+    # when it is inside the field of view at every step.
+    @example(layout=(0.0, 0.0, None, EmitterModel(power_w=0.2, semi_angle_deg=60.0),
+                     [("u", 0.0, 0.3, 0.0, None, EmitterModel(power_w=3.0, semi_angle_deg=60.0))]),
+             tilt=(0.0, 0.0), fov=30.0, log_background=-10.0, log_thermal=-12.0, log_threshold=-2.0)
+    def test_kept_steps_hold_every_passing_step(self, layout, tilt, fov, log_background, log_thermal,
+                                                log_threshold):
+        x, y, aim, emitter, others = layout
+        data = Luminaire("t", lamp_pose(Vec3(x, y, 3.0), aim), emitter)
+        lamps = [data]
+        for tag, down, dx, dy, aim, emitter in others:
+            p = data.pose.position + data.pose.axis.scaled(down)
+            position = Vec3(min(max(p.x + dx, -2.0), 2.0), min(max(p.y + dy, -2.0), 2.0), p.z)
+            lamps.append(Luminaire(tag, lamp_pose(position, aim), emitter))
+        scenario = Scenario(
+            room=Room(4.0, 4.0, 3.0), luminaires=tuple(lamps),
+            detector=DetectorModel(area_m2=1e-4, fov_deg=fov, gain=1.3),
+            receiver_axis=Vec3(tilt[0], tilt[1], 1.0).normalized(),
+            noise=NoiseParams(background_current_a=10.0 ** log_background, thermal_a2=10.0 ** log_thermal))
+        threshold = 10.0 ** log_threshold
+        try:
+            _, passing = ladder_passing(scenario, "t", threshold)
+        except GeometryError:
+            assume(False)  # a step on a lamp; TestProbeOnALamp covers those
+
+        kept = analysis._ladder_candidates(scenario, "t", ladder_probes(scenario, "t"), threshold)
+        assert kept[0] == 1
+        assert set((np.flatnonzero(passing) + 1).tolist()) <= set(kept.tolist())
+
+        pruned = coverage_hex(scenario, "t", threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_ladder_candidates", full_ladder)
+            assert coverage_hex(scenario, "t", threshold) == pruned
+
+    def test_l1_and_g1_keep_a_few_hundred_steps(self):
+        for scenario in (builtin_l1(), builtin_g1()):
+            for tag in scenario.tags():
+                kept = analysis._ladder_candidates(scenario, tag, ladder_probes(scenario, tag), 1e-2)
+                assert len(kept) < 500
+
+    def test_overflow_far_down_the_ray_raises_as_the_full_ladder(self, monkeypatch):
+        # A 1e160 W interferer aimed across the ray is outside the field of
+        # view at step 1, so that step passes; its light overflows the
+        # budget about 0.9 m further down. The noise alone fails every step
+        # from about 0.33 m on, so only the finite-bound rule keeps the
+        # overflowing steps in the search.
+        lamps = (Luminaire("t", Pose(Vec3(0.0, 0.0, 3.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=20.0)),
+                 Luminaire("x", Pose.aimed(Vec3(1.5, 0.0, 3.0), Vec3(-1.5, 0.0, 1.0)),
+                           EmitterModel(power_w=1e160, semi_angle_deg=20.0)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET,
+                            noise=NoiseParams(thermal_a2=1e-7))
+        step_1 = evaluate_points(scenario, [(0.0, 0.0, 2.99)], "t")
+        assert step_1.interference_ms_a2[0] == 0.0 and step_1.ber[0] <= 1e-2
+        assert evaluate_points(scenario, [(0.0, 0.0, 2.6)], "t").ber[0] > 1e-2
+        with pytest.raises(ParameterError, match="overflows") as pruned:
+            coverage(scenario, "t")
+        monkeypatch.setattr(analysis, "_ladder_candidates", full_ladder)
+        with pytest.raises(ParameterError) as full:
+            coverage(scenario, "t")
+        assert str(pruned.value) == str(full.value)

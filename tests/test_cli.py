@@ -268,6 +268,34 @@ class TestSweep:
         assert captured.out == "" and captured.err.count("error:") == 1
         assert not out.exists()
 
+    # A budget that overflows only on the later plane: the 1e160 W lamp
+    # hangs 1 m below the ceiling, facing down, so it lights the 150 cm
+    # plane and nothing on the 30 cm one.
+    LOW_SPOTLIGHT_DOC = """
+room: {width_m: 2.0, depth_m: 2.0, height_m: 2.0}
+luminaire:
+  - {tag: p, x_m: 0.0, y_m: 0.0, z_m: 2.0, power_w: 1.0, semi_angle_deg: 20.0}
+  - {tag: big, x_m: 0.3, y_m: 0.0, z_m: 1.0, power_w: 1.0e+160, semi_angle_deg: 20.0}
+detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
+"""
+
+    @pytest.mark.parametrize("doc, tag, planes, message", [
+        (None, "inner", "30,400", "plane distance must be in (0, 2.0] m, got 4.0"),
+        (LOW_SPOTLIGHT_DOC, "p", "30,150", "link budget overflows: interference is not finite"),
+    ], ids=["past-the-floor", "overflow"])
+    def test_error_on_a_later_plane_writes_nothing(self, tmp_path, capsys, doc, tag, planes, message):
+        path = L1_PATH
+        if doc is not None:
+            path = tmp_path / "doc.yaml"
+            path.write_text(doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--tag", tag, "--planes-cm", planes, "--res", "8",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_g1_center_smoke(self, tmp_path, capsys):
         assert main(["sweep", G1_PATH, "--tag", "center", "--planes-cm", "30",
                      "--res", "6", "--out", str(tmp_path / "g1")]) == 0
@@ -323,6 +351,41 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "max_reliable_distance_m=0.999375" in captured.out
+
+    def test_budget_overflowing_far_down_the_ray(self, tmp_path, capsys):
+        # Step 1 passes: the 1e160 W lamp is outside the field of view
+        # there. About 0.9 m down its light overflows the budget, past the
+        # 0.33 m where the noise alone fails every step.
+        doc = tmp_path / "far.yaml"
+        doc.write_text("""
+room: {width_m: 4.0, depth_m: 4.0, height_m: 3.0}
+luminaire:
+  - {tag: near, x_m: 0.0, y_m: 0.0, z_m: 3.0, power_w: 1.0, semi_angle_deg: 20.0}
+  - {tag: far, x_m: 1.5, y_m: 0.0, z_m: 3.0, power_w: 1.0e+160, semi_angle_deg: 60.0}
+detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
+noise: {thermal_a2: 1.0e-7}
+""")
+        assert main(["coverage", str(doc), "--tag", "near"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: link budget overflows: interference is not finite")
+        assert captured.err.count("\n") == 1
+
+
+class TestPlaneInTheRoom:
+    @pytest.mark.parametrize("plane_cm, shown", [("inf", "inf"), ("400", "4.0")])
+    def test_three_commands_word_it_alike(self, tmp_path, capsys, plane_cm, shown):
+        commands = (["grid", L1_PATH, "--tag", "inner", "--plane-cm", plane_cm, "--res", "4",
+                     "--out", str(tmp_path / "x.csv")],
+                    ["sweep", L1_PATH, "--tag", "inner", "--planes-cm", plane_cm, "--res", "4",
+                     "--out", str(tmp_path / "sweep")],
+                    ["resolve", L1_PATH, "--plane-cm", plane_cm])
+        for argv in commands:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: plane distance must be in (0, 2.0] m, got {shown}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResolve:
