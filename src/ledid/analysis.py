@@ -9,25 +9,23 @@ Three questions a deployment planner asks of a scenario:
 * how far away, and how far off axis, can a single tag be read reliably.
 
 Coverage searches walk the boresight ray of the tag's (first) luminaire.
-For a lone lamp with fixed noise the error rate is monotone in distance, so
-exponential bracketing plus bisection is sound. Any other lamp can make
-the error rate non-monotone along the ray: an interferer, or a second lamp
-of the same tag whose beam crosses the ray further down and lights it up
-again. Every scenario with more than one luminaire therefore answers from
-a ladder of 1 cm steps out to 100 m: the last passing step, refined by
-bisection; when the last step still passes, bracketing and bisection go
-on from 100 m. The ladder is bounded run by run (interval branch and
-bound): over a run of steps each lamp's distance and both cosines lie in
-intervals, and these bound the SNR from above. A run whose bound stays
-below the threshold's SNR holds no passing step and is skipped, any other
-run is halved, and the steps of the runs that are left go through
-``evaluate_points`` in one batch. Only the steps that might pass are
-evaluated, and the answer equals the full ladder's. The bisection steps
-are single points through the same call. A probe that lands on a
-luminaire has no link budget and counts as failing. The off-axis angle is
-swept at half the maximum reliable distance with the receiver keeping the
-scenario's receiver orientation; both the measurement fraction and the
-threshold are explicit parameters.
+Any other lamp can make the error rate non-monotone along the ray: an
+interferer, or a second lamp of the same tag whose beam crosses the ray
+further down and lights it up again. So every layout, a lone lamp
+included, answers from one search: a ladder of 1 cm steps out to 100 m,
+whose last passing step is refined by bisection; when the last step still
+passes, bracketing and bisection go on from 100 m. The ladder is bounded
+run by run (interval branch and bound): over a run of steps each lamp's
+distance and both cosines lie in intervals, and these bound the SNR from
+above. A run whose bound stays below the threshold's SNR holds no passing
+step and is skipped, any other run is split in eight, and the steps of the
+runs that are left go through ``evaluate_points`` in one batch. Only the
+steps that might pass are evaluated, and the answer equals the full
+ladder's. The bisection steps are single points through the same call. A
+probe that lands on a luminaire has no link budget and counts as failing.
+The off-axis angle is swept at half the maximum reliable distance with the
+receiver keeping the scenario's receiver orientation; both the measurement
+fraction and the threshold are explicit parameters.
 """
 
 from __future__ import annotations
@@ -43,13 +41,13 @@ from .link import evaluate_points
 from .noise import total_noise_variance
 from .scenario import Scenario
 
-_BRACKET_START_M = 0.01
 _BRACKET_CAP_M = 1.0e6
 _SCAN_STEP_M = 0.01
 _SCAN_CAP_M = 100.0
 _SCAN_STEPS = int(round(_SCAN_CAP_M / _SCAN_STEP_M))
 _DISTANCE_TOL_M = 1.0e-3
-# The ladder search stops halving a run of at most this many steps.
+# The ladder search splits a run into _SPLIT runs, down to _LEAF_STEPS steps.
+_SPLIT = 8
 _LEAF_STEPS = 32
 # Relative margin on every bound of the ladder search: lengths (distances
 # and dot products) widen by it times the magnitude of the coordinates
@@ -174,10 +172,11 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
              angle_distance_fraction: float = 0.5) -> CoverageReport:
     """Maximum reliable on-axis distance and off-axis angle for one tag.
 
-    With no interferers and all noise parameters zero the distance is
-    unbounded (reported as inf, with the full 90 degree angle). If no
-    crossing is found below the search cap the unbounded sentinel is
-    returned as well.
+    The unbounded sentinel (inf, with the full 90 degree angle) is
+    returned when no crossing is found below the search cap, and by
+    convention with no interferers and all noise parameters zero, where
+    only the signal's own shot noise limits the distance (to 52,017 m for
+    an L1 lamp at 1e-2).
     """
     if not 0.0 < threshold:
         raise ParameterError(f"threshold must be positive, got {threshold}")
@@ -217,22 +216,17 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     def ok(distance: float) -> bool:
         return passes([distance])[0]
 
-    if not ok(_BRACKET_START_M):
+    if not ok(_SCAN_STEP_M):
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
-    if len(scenario.luminaires) == 1:
-        distance = _bracket_and_bisect(ok)
+    # Interference can make the error rate dip and rise along the ray, so
+    # refine the ladder's last passing step (step 1 has passed). Past the
+    # ladder's end every lamp is far off, and bracketing goes on from it.
+    steps = _ladder_candidates(scenario, tag_id, probes, threshold)
+    last = int(steps[passes(steps * _SCAN_STEP_M)][-1])
+    if last == _SCAN_STEPS:
+        distance = _bracket_and_bisect(ok, _SCAN_CAP_M)
     else:
-        # Interference can make the error rate dip and rise along the ray,
-        # so take the last passing step of the ladder, then refine locally.
-        # Step 1 is the point that just passed, so one exists. Past the
-        # ladder's end every lamp is far off, and the search goes on by
-        # bracketing and bisection.
-        steps = _ladder_candidates(scenario, tag_id, probes, threshold)
-        last = int(steps[passes(steps * _SCAN_STEP_M)][-1])
-        if last == _SCAN_STEPS:
-            distance = _bracket_and_bisect(ok, _SCAN_CAP_M)
-        else:
-            distance = _bisect(ok, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
+        distance = _bisect(ok, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
     if math.isinf(distance):
         return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
 
@@ -253,10 +247,10 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
 def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float) -> np.ndarray:
     """Ladder steps that might pass, in order: every passing step and step 1.
 
-    Runs of steps start as the whole ladder. Each level of halving is one
-    batch through ``_may_pass``, and a run it cannot rule out is halved
-    until it has at most ``_LEAF_STEPS`` steps. ``probes`` maps distances
-    to the positions the ladder evaluates.
+    Runs of steps start as the whole ladder. Each level of splitting is one
+    batch through ``_may_pass``, and a run it cannot rule out is split into
+    ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps. ``probes``
+    maps distances to the positions the ladder evaluates.
     """
     # A step passes when 0.5 exp(-snr / 2) <= threshold, i.e. when snr is at
     # least -2 ln(2 threshold). With the margin, a step whose SNR is below
@@ -271,8 +265,8 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
         leaf = runs[:, 1] - runs[:, 0] < _LEAF_STEPS
         kept.extend(np.arange(first, last + 1) for first, last in runs[leaf])
         first, last = runs[~leaf].T
-        mid = (first + last) // 2
-        runs = np.concatenate((np.column_stack((first, mid)), np.column_stack((mid + 1, last))))
+        cuts = first[:, None] + (last - first + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
+        runs = np.column_stack((cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1))
     return np.unique(np.concatenate(kept))
 
 
@@ -356,7 +350,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=-1))
 
 
-def _bracket_and_bisect(ok, lo: float = _BRACKET_START_M) -> float:
+def _bracket_and_bisect(ok, lo: float) -> float:
     # Monotone case: double out from lo to the first failure, then bisect
     # to 1 mm.
     hi = lo

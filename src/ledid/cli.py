@@ -5,7 +5,8 @@ output byte is a pure function of the input files and flags; nothing
 depends on the clock, locale or environment.
 
 Exit codes: 0 success, 1 domain error (parse/validation failures, unknown
-tags, unwritable outputs), 2 usage error (bad flags, missing files).
+tags, unwritable outputs, requests too large for memory), 2 usage error
+(bad flags, missing files).
 Standard output counts as an output: when its reader has gone (``ledid
 validate l1.yaml | head -n 0``) the command exits 1 and prints nothing,
 since it may have stopped before the end of its work.
@@ -57,8 +58,8 @@ def _main(argv: Sequence[str] | None) -> int:
         return 2
     except BrokenPipeError:
         raise
-    except (LedIdError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LedIdError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

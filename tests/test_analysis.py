@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -351,14 +352,14 @@ def coverage_hex(scenario, tag, threshold=1e-2):
 
 floor_aims = st.one_of(st.none(), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
 emitters = st.builds(EmitterModel, power_w=st.floats(0.2, 3.0), semi_angle_deg=st.floats(10.0, 60.0))
-# The data lamp on the ceiling, then 1-5 more: each at a point of the data
+# The data lamp on the ceiling, then 0-5 more: each at a point of the data
 # lamp's ray (0 m down is the ceiling) moved sideways, so that some sit
 # beside the ray or across it, with tags shared or not.
 mixed_layouts = st.tuples(
     st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), floor_aims, emitters,
     st.lists(st.tuples(st.sampled_from(("t", "u", "v")), st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
                        st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), floor_aims, emitters),
-             min_size=1, max_size=5),
+             min_size=0, max_size=5),
 )
 
 
@@ -387,6 +388,10 @@ class TestLadderSearch:
     @example(layout=(0.0, 0.0, None, EmitterModel(power_w=0.2, semi_angle_deg=60.0),
                      [("u", 0.0, 0.3, 0.0, None, EmitterModel(power_w=3.0, semi_angle_deg=60.0))]),
              tilt=(0.0, 0.0), fov=30.0, log_background=-10.0, log_thermal=-12.0, log_threshold=-2.0)
+    # A lone lamp, aimed off the vertical and read by a tilted receiver:
+    # every step passes out to about 1.85 m and none after.
+    @example(layout=(0.3, 0.2, (-0.5, 0.4), EmitterModel(power_w=1.0, semi_angle_deg=20.0), []),
+             tilt=(0.2, -0.1), fov=60.0, log_background=-4.0, log_thermal=-10.0, log_threshold=-2.0)
     def test_kept_steps_hold_every_passing_step(self, layout, tilt, fov, log_background, log_thermal,
                                                 log_threshold):
         x, y, aim, emitter, others = layout
@@ -417,10 +422,34 @@ class TestLadderSearch:
             assert coverage_hex(scenario, "t", threshold) == pruned
 
     def test_l1_and_g1_keep_a_few_hundred_steps(self):
-        for scenario in (builtin_l1(), builtin_g1()):
+        # A noisy lone lamp passes out to about 3.3 m, so all of its first
+        # 329 steps must be kept.
+        lone = single_lamp_scenario(NoiseParams(background_current_a=1e-3, thermal_a2=1e-11))
+        for scenario in (builtin_l1(), builtin_g1(), lone):
             for tag in scenario.tags():
                 kept = analysis._ladder_candidates(scenario, tag, ladder_probes(scenario, tag), 1e-2)
                 assert len(kept) < 500
+
+    def test_dense_ceiling(self):
+        # 64 lamps at a 0.4 m pitch share 16 tags, four lamps each, as on
+        # the benchmark's generated 8 x 8 ceiling.
+        rng = random.Random(8)
+        labels = [f"t{i:02d}" for i in range(16) for _ in range(4)]
+        rng.shuffle(labels)
+        lamps = tuple(Luminaire(labels[8 * iy + ix], Pose(Vec3(0.4 * ix - 1.4, 0.4 * iy - 1.4, 3.0), DOWN),
+                                EmitterModel(power_w=rng.uniform(0.8, 1.2), semi_angle_deg=rng.uniform(15.0, 35.0)))
+                      for iy in range(8) for ix in range(8))
+        scenario = Scenario(room=Room(3.2, 3.2, 3.0), luminaires=lamps, detector=DET)
+        for tag in ("t00", "t07", "t13"):
+            kept = analysis._ladder_candidates(scenario, tag, ladder_probes(scenario, tag), 1e-2)
+            assert len(kept) < 500
+            _, passing = ladder_passing(scenario, tag)
+            assert set((np.flatnonzero(passing) + 1).tolist()) <= set(kept.tolist())
+            pruned = coverage_hex(scenario, tag)
+            assert 0.0 < float.fromhex(pruned[0]) < 100.0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(analysis, "_ladder_candidates", full_ladder)
+                assert coverage_hex(scenario, tag) == pruned
 
     def test_overflow_far_down_the_ray_raises_as_the_full_ladder(self, monkeypatch):
         # A 1e160 W interferer aimed across the ray is outside the field of

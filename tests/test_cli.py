@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -471,6 +472,26 @@ class TestClosedStdout:
             os.close(write_end)
         assert result.stderr == b""
         assert result.returncode == 1
+
+
+def _cap_address_space():
+    # About 3 GiB: numpy still imports, a 100,000 x 100,000 grid cannot be allocated.
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("args", [["grid", "--plane-cm", "30", "--out", "big.csv"],
+                                      ["sweep", "--planes-cm", "30", "--out", "big"]], ids=["grid", "sweep"])
+    def test_grid_too_large_is_one_error_line(self, tmp_path, args):
+        src = str(Path(ledid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-m", "ledid", args[0], L1_PATH, "--tag", "inner",
+                                 "--res", "100000", *args[1:]],
+                                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+                                preexec_fn=_cap_address_space)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert [line[:7] for line in result.stderr.splitlines()] == ["error: "]
 
 
 def test_no_command_is_a_usage_error(capsys):
