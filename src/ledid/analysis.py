@@ -15,14 +15,14 @@ further down and lights it up again. So every layout, a lone lamp
 included, answers from one search: a ladder of 1 cm steps out to 100 m,
 whose last passing step is refined by bisection; when the last step still
 passes, bracketing and bisection go on from 100 m. The ladder is bounded
-run by run (interval branch and bound): over a run of steps each lamp's
-distance and both cosines lie in intervals, and these bound the SNR from
-above. A run whose bound stays below the threshold's SNR holds no passing
-step and is skipped, any other run is split in eight, and the steps of the
-runs that are left go through ``evaluate_points`` in one batch. Only the
-steps that might pass are evaluated, and the answer equals the full
-ladder's. The bisection steps are single points through the same call. A
-probe that lands on a luminaire has no link budget and counts as failing.
+run by run (interval branch and bound): ``link.segments_may_pass`` rules
+out each run whose SNR bound stays below the threshold's, any other run is
+split in eight, and the steps of the runs left go through
+``evaluate_points`` in one batch, so only the steps that might pass are
+evaluated and the answer equals the full ladder's. The bisection steps are
+single points through the same call; the link model, the bound included,
+lives in ``link`` alone, and this module only searches. A probe that lands
+on a luminaire has no link budget and counts as failing.
 The off-axis angle is swept at half the maximum reliable distance with the
 receiver keeping the scenario's receiver orientation; both the measurement
 fraction and the threshold are explicit parameters.
@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError
 from .geometry import Vec3
-from .link import evaluate_points
-from .noise import total_noise_variance
+from .link import _BLOCK_PAIRS, evaluate_points, segments_may_pass
 from .scenario import Scenario
 
 _BRACKET_CAP_M = 1.0e6
@@ -49,18 +48,7 @@ _DISTANCE_TOL_M = 1.0e-3
 # The ladder search splits a run into _SPLIT runs, down to _LEAF_STEPS steps.
 _SPLIT = 8
 _LEAF_STEPS = 32
-# Relative margin on every bound of the ladder search: lengths (distances
-# and dot products) widen by it times the magnitude of the coordinates
-# they come from, and so do the cosines formed from them; gains and sums
-# widen by it times themselves. Rounding in the probe positions and in the
-# kernel moves those values by a few units in the last place, about 1e-15
-# of the same scales, and a Lambertian power of order m multiplies a
-# cosine's relative error by m; 1e-6 covers both by orders of magnitude.
-# On L1 and G1 it keeps the same steps as a margin of 1e-9.
-_BOUND_MARGIN = 1.0e-6
 _ANGLE_TOL_DEG = 0.1
-# scenario_critical_distance compares about this many luminaire pairs at a time.
-_BLOCK_PAIRS = 8192
 
 UNBOUNDED = math.inf
 
@@ -113,7 +101,6 @@ def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float 
     A tag with several luminaires is scored by the best (lowest) of its
     per-lamp error rates.
     """
-    scenario.room.plane_z(plane_distance_m)  # the plane must lie in the room
     if not 0.0 < threshold:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     entries = []
@@ -248,106 +235,21 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
     """Ladder steps that might pass, in order: every passing step and step 1.
 
     Runs of steps start as the whole ladder. Each level of splitting is one
-    batch through ``_may_pass``, and a run it cannot rule out is split into
-    ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps. ``probes``
-    maps distances to the positions the ladder evaluates.
+    batch through ``segments_may_pass``, and a run it cannot rule out is
+    split into ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps.
+    ``probes`` maps distances to the positions the ladder evaluates.
     """
-    # A step passes when 0.5 exp(-snr / 2) <= threshold, i.e. when snr is at
-    # least -2 ln(2 threshold). With the margin, a step whose SNR is below
-    # this target has an error rate above threshold * (1 + margin), which
-    # rounding in exp and log cannot bring down to the threshold.
-    target = -2.0 * math.log(2.0 * threshold * (1.0 + _BOUND_MARGIN))
     kept = [np.array([1])]
     runs = np.array([[1, _SCAN_STEPS]])
     while len(runs):
         ends = probes(runs.ravel() * _SCAN_STEP_M).reshape(-1, 2, 3)
-        runs = runs[_may_pass(scenario, tag_id, ends[:, 0], ends[:, 1], target)]
+        runs = runs[segments_may_pass(scenario, tag_id, ends[:, 0], ends[:, 1], threshold)]
         leaf = runs[:, 1] - runs[:, 0] < _LEAF_STEPS
         kept.extend(np.arange(first, last + 1) for first, last in runs[leaf])
         first, last = runs[~leaf].T
         cuts = first[:, None] + (last - first + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
         runs = np.column_stack((cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1))
     return np.unique(np.concatenate(kept))
-
-
-def _may_pass(scenario: Scenario, tag_id: str, start: np.ndarray, end: np.ndarray,
-              target: float) -> np.ndarray:
-    """Whether each run of ladder steps might hold a step with SNR >= target.
-
-    Run ``k`` covers the segment from ``start[k]`` to ``end[k]``. Over it a
-    lamp's distance lies between the segment's closest approach and its
-    farther end, and the dot products of the lamp's axis and the
-    receiver's with the lamp-to-probe vector are linear, so they lie
-    between their values at the ends. That bounds both cosines and the
-    gain ``(m+1) A g cos(theta)^m cos(psi) / (2 pi d^2)``: its upper bound
-    is 0 only where the pair is never lit, its lower bound positive only
-    where it is lit at every step. The signal's upper bound over the lower
-    bounds of noise plus interference bounds the SNR. A run is ruled out
-    only when that bound is below ``target`` and the upper bounds of the
-    signal, interference, received power and noise are all finite, so a
-    step on a lamp, or one whose budget overflows, always lies in a kept
-    run; a nan bound keeps the run.
-    """
-    lamps = scenario.luminaire_arrays
-    det = scenario.detector
-    rx_axis = np.array([scenario.receiver_axis.x, scenario.receiver_axis.y, scenario.receiver_axis.z])
-    up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
-    # Entry [k, j] pairs run k with lamp j.
-    e0 = start[:, None, :] - lamps.tx
-    e1 = end[:, None, :] - lamps.tx
-    u = (end - start)[:, None, :]
-    # Lengths widen by the margin times the magnitudes they are computed
-    # from, which bounds their rounding.
-    slack = _BOUND_MARGIN * ((np.abs(start).sum(axis=1) + np.abs(end).sum(axis=1))[:, None]
-                             + np.abs(lamps.tx).sum(axis=1))
-    with np.errstate(all="ignore"):
-        t = np.clip(-(e0 * u).sum(axis=2) / (u * u).sum(axis=2), 0.0, 1.0)
-        d_lo = np.maximum(_norm(e0 + t[..., None] * u) - slack, 0.0)
-        d_hi = np.maximum(_norm(e0), _norm(e1)) + slack
-
-        def cosine(dot0, dot1, axis_norm):
-            # Upper and lower bounds of dot / d. A negative upper or lower
-            # bound only has to stay negative: the pair is then unlit, or
-            # not surely lit.
-            hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, axis_norm * up)
-            return hi, (np.minimum(dot0, dot1) - slack) / d_hi
-
-        theta_hi, theta_lo = cosine((e0 * lamps.tx_axis).sum(axis=2), (e1 * lamps.tx_axis).sum(axis=2),
-                                    _norm(lamps.tx_axis))
-        psi_hi, psi_lo = cosine(-(e0 @ rx_axis), -(e1 @ rx_axis), np.sqrt(rx_axis @ rx_axis))
-        # The kernel's lit test, on the upper cosine bounds (might be lit)
-        # and on the lower ones (lit at every step); a nan bound might be lit.
-        maybe_lit = ~((psi_hi < det.cos_fov) | (theta_hi <= 0.0))
-        surely_lit = (psi_lo >= det.cos_fov) & (theta_lo > 0.0)
-        m = lamps.order
-        area = (m + 1.0) * det.area_m2
-        h_hi = np.where(maybe_lit, area * theta_hi ** m * psi_hi * det.gain / (2.0 * math.pi * d_lo * d_lo),
-                        0.0) * up
-        h_lo = np.where(surely_lit, area * theta_lo ** m * psi_lo * det.gain / (2.0 * math.pi * d_hi * d_hi),
-                        0.0) * down
-
-        def terms(h):
-            amplitude = det.responsivity_a_per_w * h * lamps.power * lamps.mod_index
-            return amplitude * amplitude * lamps.baseband
-
-        def noise(power):
-            return np.array([total_noise_variance(p, det, scenario.noise) for p in power.tolist()])
-
-        data = lamps.tags == tag_id
-        terms_hi = terms(h_hi)
-        signal_hi = terms_hi[:, data].sum(axis=1) * up
-        interference_hi = terms_hi[:, ~data].sum(axis=1) * up
-        interference_lo = terms(h_lo)[:, ~data].sum(axis=1) * down
-        power_hi = (h_hi * lamps.power).sum(axis=1) * up
-        power_lo = (h_lo * lamps.power).sum(axis=1) * down
-        noise_hi, noise_lo = noise(power_hi) * up, noise(power_lo) * down
-        snr_hi = signal_hi / (noise_lo + interference_lo)
-    finite = np.isfinite(signal_hi) & np.isfinite(interference_hi) & np.isfinite(power_hi) & np.isfinite(noise_hi)
-    return ~(finite & (snr_hi < target))
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v * v).sum(axis=-1))
 
 
 def _bracket_and_bisect(ok, lo: float) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -192,22 +193,23 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_for_grids(args)
     plane_values = _float_list("--planes-cm", args.planes_cm, "plane distance")
-    # Every flag and the tag are checked, and every plane is evaluated,
-    # before anything is written: an error on any plane leaves no output.
+    names = [f"{args.tag}_plane{plane_cm:g}cm.csv" for plane_cm in plane_values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _UsageError(f"--planes-cm: two planes would both write {name}")
+    # Every flag is checked, and every plane is evaluated (the first checks
+    # the tag), before anything is written: an error leaves no output.
     specs = [_grid_spec(scenario, plane_cm, args.res) for plane_cm in plane_values]
-    scenario.luminaires_for(args.tag)
 
     out_dir = Path(args.out)
     planes = []
-    for plane_cm, spec in zip(plane_values, specs):
+    for plane_cm, spec, name in zip(plane_values, specs, names):
         grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
-        csv_path = out_dir / f"{args.tag}_plane{plane_cm:g}cm.csv"
+        csv_path = out_dir / name
         # Summary: min and median of the error rate at the foot of each lamp.
-        bers = sorted(foot_bers(scenario, plane_cm / 100.0, args.tag))
-        n = len(bers)
-        median = bers[n // 2] if n % 2 else 0.5 * (bers[n // 2 - 1] + bers[n // 2])
-        planes.append((grid, csv_path, f"plane_cm={plane_cm:g} csv={csv_path} min_ber={bers[0]!r} "
-                                       f"median_ber={median!r}"))
+        bers = foot_bers(scenario, plane_cm / 100.0, args.tag)
+        planes.append((grid, csv_path, f"plane_cm={plane_cm:g} csv={csv_path} min_ber={min(bers)!r} "
+                                       f"median_ber={statistics.median(bers)!r}"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for grid, csv_path, summary in planes:
         write_grid_csv(grid, csv_path)

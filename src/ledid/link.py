@@ -34,7 +34,14 @@ as columns, and every value it returns is bit-identical to the scalar one:
   machines, so neither is used.
 * Sums over luminaires use ``math.fsum`` per point, as the scalar path
   does; a correctly rounded sum does not depend on term order.
-* Noise, SNR and BER are the scalar functions applied per point.
+* Noise is ``total_noise_variance`` on the whole column, whose elements
+  get the bits a float gets; SNR and BER are the scalar functions per point.
+
+``segments_may_pass`` bounds the SNR over straight segments of positions,
+for the coverage search. It applies the kernel's own lit test, gain
+expression, signal terms and noise to bounds of the distances and cosines;
+only cos(theta)^m differs, numpy's ``power`` there, as a bound needs speed
+more than the last bit, which its margin covers.
 """
 
 from __future__ import annotations
@@ -54,9 +61,18 @@ from .noise import total_noise_variance
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
-# evaluate_points works through the positions in blocks of about this many
-# (position, luminaire) pairs, so no temporary grows with the batch.
+# evaluate_points and analysis.scenario_critical_distance work in blocks of
+# about this many pairs, so no temporary grows with the batch.
 _BLOCK_PAIRS = 8192
+# Relative margin on every bound of segments_may_pass: lengths (distances
+# and dot products) widen by it times the magnitude of the coordinates
+# they come from, and so do the cosines formed from them; gains and sums
+# widen by it times themselves. Rounding in the positions and in the
+# kernel moves those values by a few units in the last place, about 1e-15
+# of the same scales, and a Lambertian power of order m multiplies a
+# cosine's relative error by m; 1e-6 covers both by orders of magnitude.
+# On L1 and G1 it keeps the same ladder steps as a margin of 1e-9.
+_BOUND_MARGIN = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -253,27 +269,20 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     """
     scenario.luminaires_for(data_tag_id)
     points = _as_points(positions)
-    lamps = scenario.luminaire_arrays
-    detector = scenario.detector
-    data = lamps.tags == data_tag_id
-    r = detector.responsivity_a_per_w
+    data = scenario.luminaire_arrays.tags == data_tag_id
 
     h_data, received, signal, interference = array("d"), array("d"), array("d"), array("d")
     step = max(1, _BLOCK_PAIRS // len(data))
     for start in range(0, len(points), step):
         h = luminaire_gains(scenario, points[start:start + step])
-        # A huge power_w, or a gain that overflowed to inf, overflows these
-        # products; the columns they feed are not finite then, and
-        # _check_budget rejects them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            amplitude = r * h * lamps.power * lamps.mod_index
-            terms = amplitude * amplitude * lamps.baseband
-            incident = h * lamps.power
+        incident, terms = _signal_terms(scenario, h)
         h_data.extend(map(_fsum_or_inf, h[:, data].tolist()))
         received.extend(map(_fsum_or_inf, incident.tolist()))
         signal.extend(map(_fsum_or_inf, terms[:, data].tolist()))
         interference.extend(map(_fsum_or_inf, terms[:, ~data].tolist()))
-    noise = array("d", (total_noise_variance(p, detector, scenario.noise) for p in received))
+    with np.errstate(over="ignore"):  # a noise that overflows is inf, for _check_budget
+        noise = total_noise_variance(np.asarray(received), scenario.detector, scenario.noise)
+    noise = array("d", noise.tobytes())
     _check_budget(received, signal, interference, noise)
     snrs = array("d", map(snr, signal, interference, noise))
     return LinkColumns(h_data, received, signal, interference, noise, snrs, array("d", map(ber_bfsk, snrs)))
@@ -290,7 +299,6 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
     points = _as_points(positions)
     lamps = scenario.luminaire_arrays
     tx, tx_axis = lamps.tx, lamps.tx_axis
-    detector = scenario.detector
     rx_axis = scenario.receiver_axis
 
     # delta = rx - tx; entry [i, j] pairs position i with luminaire j.
@@ -302,18 +310,97 @@ def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
         raise GeometryError("emitter and receiver positions coincide")
     cos_theta = (tx_axis[:, 0] * dx + tx_axis[:, 1] * dy + tx_axis[:, 2] * dz) / d
     cos_psi = -(rx_axis.x * dx + rx_axis.y * dy + rx_axis.z * dz) / d
-    # channel_gain's zero test, negated, so a nan cosine is lit in both.
-    lit = ~((cos_psi < detector.cos_fov) | (cos_theta <= 0.0))
-    m = np.broadcast_to(lamps.order, lit.shape)[lit]
-    cos_theta_m = np.fromiter(map(pow, cos_theta[lit].tolist(), m.tolist()), float, len(m))
+    return _gains(scenario, d, cos_theta, cos_psi, _float_pow)
+
+
+def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end: np.ndarray,
+                      threshold: float) -> np.ndarray:
+    """Whether each segment might hold a position where ``tag_id`` reads.
+
+    Segment ``k`` runs from ``start[k]`` to ``end[k]``; a position reads
+    when its error rate is at most ``threshold``. Over a segment a lamp's
+    distance lies between the closest approach and the farther end, and
+    the dot products of the lamp's axis and the receiver's with the
+    lamp-to-position vector lie between their end values. The kernel's
+    lit test, gain, signal terms and noise on these bounds bound the SNR
+    from above. A segment is ruled out (False) only when that bound is below
+    the threshold's SNR and every upper bound is finite, so a position on a
+    lamp, or one whose budget overflows, lies in a kept segment.
+    """
+    # A position reads when 0.5 exp(-snr / 2) <= threshold, i.e. snr >=
+    # -2 ln(2 threshold). Below this target, with the margin, the error rate
+    # exceeds threshold * (1 + margin): rounding in exp and log cannot pass.
+    target = -2.0 * math.log(2.0 * threshold * (1.0 + _BOUND_MARGIN))
+    lamps = scenario.luminaire_arrays
+    rx_axis = np.array([scenario.receiver_axis.x, scenario.receiver_axis.y, scenario.receiver_axis.z])
+    up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
+    # Entry [k, j] pairs segment k with lamp j.
+    e0, e1 = start[:, None, :] - lamps.tx, end[:, None, :] - lamps.tx
+    u = (end - start)[:, None, :]
+    # Lengths widen by the margin times the magnitudes they are computed
+    # from, which bounds their rounding.
+    slack = _BOUND_MARGIN * ((np.abs(start).sum(axis=1) + np.abs(end).sum(axis=1))[:, None]
+                             + np.abs(lamps.tx).sum(axis=1))
+    with np.errstate(all="ignore"):
+        # fmax takes a zero-length segment's 0 / 0 to its start.
+        t = np.fmin(np.fmax(-(e0 * u).sum(axis=2) / (u * u).sum(axis=2), 0.0), 1.0)
+        d_lo = np.maximum(_norm(e0 + t[..., None] * u) - slack, 0.0)
+        d_hi = np.maximum(_norm(e0), _norm(e1)) + slack
+
+        def cosine(dot0, dot1, axis_norm):
+            # Upper and lower bounds of dot / d. A negative bound only has
+            # to stay negative: the pair is then unlit, or not surely lit.
+            hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, axis_norm * up)
+            return hi, (np.minimum(dot0, dot1) - slack) / d_hi
+
+        theta_hi, theta_lo = cosine((e0 * lamps.tx_axis).sum(axis=2), (e1 * lamps.tx_axis).sum(axis=2),
+                                    _norm(lamps.tx_axis))
+        psi_hi, psi_lo = cosine(-(e0 @ rx_axis), -(e1 @ rx_axis), np.sqrt(rx_axis @ rx_axis))
+        # Lit on the upper cosine bounds: might be lit; on the lower: lit throughout.
+        incident_hi, terms_hi = _signal_terms(scenario, _gains(scenario, d_lo, theta_hi, psi_hi, np.power) * up)
+        incident_lo, terms_lo = _signal_terms(scenario, _gains(scenario, d_hi, theta_lo, psi_lo, np.power) * down)
+        data = lamps.tags == tag_id
+        signal_hi = terms_hi[:, data].sum(axis=1) * up
+        interference_hi = terms_hi[:, ~data].sum(axis=1) * up
+        interference_lo = terms_lo[:, ~data].sum(axis=1) * down
+        power_hi = incident_hi.sum(axis=1) * up
+        noise_hi = total_noise_variance(power_hi, scenario.detector, scenario.noise) * up
+        noise_lo = total_noise_variance(incident_lo.sum(axis=1) * down, scenario.detector, scenario.noise) * down
+        snr_hi = signal_hi / (noise_lo + interference_lo)
+    finite = np.isfinite(signal_hi) & np.isfinite(interference_hi) & np.isfinite(power_hi) & np.isfinite(noise_hi)
+    return ~(finite & (snr_hi < target))
+
+
+def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power) -> np.ndarray:
+    # channel_gain for each (position, lamp) pair from its distance and
+    # cosines, with power(base, m) for cos(theta)^m on the lit pairs. The
+    # lit test is channel_gain's zero test negated: a nan cosine is lit.
+    det = scenario.detector
+    lit = ~((cos_psi < det.cos_fov) | (cos_theta <= 0.0))
+    m = np.broadcast_to(scenario.luminaire_arrays.order, lit.shape)[lit]
     dist = d[lit]
     h = np.zeros(lit.shape)
     # A huge area_m2 or gain overflows this product to inf (or nan against
     # a zero cosine power); evaluate_points rejects the budget that follows.
     with np.errstate(over="ignore", invalid="ignore"):
-        h[lit] = ((m + 1.0) * detector.area_m2 * cos_theta_m * cos_psi[lit] * detector.gain
+        h[lit] = ((m + 1.0) * det.area_m2 * power(cos_theta[lit], m) * cos_psi[lit] * det.gain
                   / (2.0 * math.pi * dist * dist))
     return h
+
+
+def _float_pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    # Float pow on Python floats: numpy's power may differ from it in the
+    # last bit (see the module docstring).
+    return np.fromiter(map(pow, base.tolist(), exponent.tolist()), float, len(base))
+
+
+def _signal_terms(scenario: "Scenario", h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Incident power h P and mean-square signal (R h P mu)^2 E of each pair.
+    # A huge power_w or an infinite gain overflows them, for _check_budget.
+    lamps = scenario.luminaire_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = scenario.detector.responsivity_a_per_w * h * lamps.power * lamps.mod_index
+        return h * lamps.power, amplitude * amplitude * lamps.baseband
 
 
 def _check_budget(received_power, signal_ms, interference_ms, noise_variance) -> None:
@@ -334,6 +421,10 @@ def _fsum_or_inf(terms: list[float]) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=-1))
 
 
 def _as_points(positions) -> np.ndarray:

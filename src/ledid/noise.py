@@ -10,12 +10,16 @@ current, and I2 is the noise-bandwidth factor of the receiver front end.
 Thermal and intersymbol terms have no closed form here; they are accepted
 as user-supplied constants and default to zero. Mapping ambient light
 levels (lux) to a background current is likewise left to the caller.
+The received power may also be a numpy array, whose elements get the bits
+a float would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import DetectorModel
 from .errors import ParameterError
@@ -41,8 +45,8 @@ class NoiseParams:
 
 def shot_noise_variance(received_power_w: float, detector: DetectorModel, params: NoiseParams) -> float:
     """Shot-noise variance in A^2 for a given total incident optical power."""
-    if received_power_w < 0.0:
-        raise ParameterError(f"received power must be >= 0, got {received_power_w}")
+    if np.less(received_power_w, 0.0).any():
+        raise ParameterError(f"received power must be >= 0, got {np.min(received_power_w)}")
     q = ELECTRON_CHARGE_C
     b = detector.bandwidth_hz
     signal_term = 2.0 * q * detector.responsivity_a_per_w * received_power_w * b

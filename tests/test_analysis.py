@@ -29,6 +29,7 @@ from ledid import (
     resolvability,
     scenario_critical_distance,
 )
+from ledid.link import segments_may_pass
 
 DOWN = Vec3(0.0, 0.0, -1.0)
 
@@ -471,3 +472,97 @@ class TestLadderSearch:
         with pytest.raises(ParameterError) as full:
             coverage(scenario, "t")
         assert str(pruned.value) == str(full.value)
+
+
+def mixed_scenario(layout, tilt, fov, log_background, log_thermal, extra=()):
+    """A drawn ``mixed_layouts`` layout as a scenario, data tag "t", with ``extra`` lamps."""
+    x, y, aim, emitter, others = layout
+    data = Luminaire("t", lamp_pose(Vec3(x, y, 3.0), aim), emitter)
+    lamps = [data]
+    for tag, down, dx, dy, aim, emitter in others:
+        p = data.pose.position + data.pose.axis.scaled(down)
+        position = Vec3(min(max(p.x + dx, -2.0), 2.0), min(max(p.y + dy, -2.0), 2.0), p.z)
+        lamps.append(Luminaire(tag, lamp_pose(position, aim), emitter))
+    return Scenario(
+        room=Room(4.0, 4.0, 3.0), luminaires=(*lamps, *extra),
+        detector=DetectorModel(area_m2=1e-4, fov_deg=fov, gain=1.3),
+        receiver_axis=Vec3(tilt[0], tilt[1], 1.0).normalized(),
+        noise=NoiseParams(background_current_a=10.0 ** log_background, thermal_a2=10.0 ** log_thermal))
+
+
+def on_the_fov_edge(position, receiver_axis, fov_deg, reach, phi):
+    """A point that a receiver at ``position`` sees exactly at its field-of-view edge.
+
+    The point lies in the direction at ``fov_deg`` from the receiver axis
+    and azimuth ``phi`` around it, ``reach`` (0 to 1) of the way to the
+    walls of the 4 x 4 x 3 m room.
+    """
+    a = np.array([receiver_axis.x, receiver_axis.y, receiver_axis.z])
+    e1 = np.cross(a, (1.0, 0.0, 0.0))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(a, e1)
+    fov = math.radians(fov_deg)
+    direction = math.cos(fov) * a + math.sin(fov) * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    p = np.array([position.x, position.y, position.z])
+    with np.errstate(divide="ignore", over="ignore"):  # a direction component near or at 0
+        to_walls = np.where(direction > 0.0, ((2.0, 2.0, 3.0) - p) / direction,
+                            ((-2.0, -2.0, 0.0) - p) / direction)
+    return Vec3(*(p + reach * np.nanmin(np.abs(to_walls)) * direction))
+
+
+class TestSegmentBound:
+    """``segments_may_pass`` on zero-length segments: the bound at single positions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_layouts, st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+           st.sampled_from((30.0, 60.0, 90.0)), st.floats(-10.0, -4.0), st.floats(-14.0, -8.0),
+           st.floats(-3.0, math.log10(5e-2)),
+           st.lists(st.floats(0.01, 3.0), max_size=20),
+           st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.95)), max_size=20),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 0.95), st.floats(0.0, 2.0 * math.pi),
+                              st.sampled_from(("t", "u", "v")), emitters), max_size=6))
+    def test_every_position_that_reads_is_kept(self, layout, tilt, fov, log_background, log_thermal,
+                                               log_threshold, down_the_ray, in_the_room, edge_lamps):
+        # Each edge lamp sits at the field-of-view edge of a point on the
+        # data lamp's ray, aimed at it; the point is checked with the rest.
+        # A position reads by the kernel or by the scalar reference, which
+        # shares none of the kernel's code with the bound.
+        scenario = mixed_scenario(layout, tilt, fov, log_background, log_thermal)
+        origin, axis = scenario.luminaires[0].pose.position, scenario.luminaires[0].pose.axis
+        seen_at_the_edge, extra = [], []
+        for depth, reach, phi, tag, emitter in edge_lamps:
+            p = origin + axis.scaled(0.01 + 0.98 * depth * 3.0 / -axis.z)
+            lamp = on_the_fov_edge(p, scenario.receiver_axis, fov, reach, phi)
+            seen_at_the_edge.append((p.x, p.y, p.z))
+            extra.append(Luminaire(tag, Pose.aimed(lamp, p), emitter))
+        scenario = mixed_scenario(layout, tilt, fov, log_background, log_thermal, extra)
+        threshold = 10.0 ** log_threshold
+        points = [*ladder_probes(scenario, "t")(np.array(down_the_ray)), *in_the_room, *seen_at_the_edge]
+        assume(points)
+        points = np.array(points)
+        try:
+            passing = np.array(evaluate_points(scenario, points, "t").ber) <= threshold
+        except GeometryError:
+            assume(False)  # a position on a lamp
+        reference = np.array([evaluate_link(scenario, Vec3(*p), "t").ber for p in points.tolist()]) <= threshold
+        kept = segments_may_pass(scenario, "t", points, points, threshold)
+        assert kept[passing | reference].all()
+
+    @pytest.mark.parametrize("make", [builtin_l1, builtin_g1], ids=["l1", "g1"])
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-3])
+    def test_a_lit_position_is_ruled_out_just_below_the_target(self, make, threshold):
+        # At a single position the bound is tight: where the data tag is lit,
+        # only an SNR within 0.1% of the threshold's can be kept yet fail.
+        scenario = make()
+        rng = np.random.default_rng(11)
+        points = np.column_stack((rng.uniform(-1.0, 1.0, 2000), rng.uniform(-1.0, 1.0, 2000),
+                                  rng.uniform(1.0, 1.95, 2000)))
+        target = -2.0 * math.log(2.0 * threshold)
+        for tag in scenario.tags():
+            columns = evaluate_points(scenario, points, tag)
+            snr = np.array(columns.snr)
+            lit = np.array(columns.signal_ms_a2) > 0.0
+            kept = segments_may_pass(scenario, tag, points, points, threshold)
+            assert kept[np.array(columns.ber) <= threshold].all()
+            assert not kept[lit & (snr < 0.999 * target)].any()
+            assert (lit & (snr < 0.999 * target)).sum() > 500

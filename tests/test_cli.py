@@ -322,6 +322,17 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         assert min_ber < median_ber
 
 
+    @pytest.mark.parametrize("planes", ["30,30.0000001,40", "30,40,30"], ids=["same-name", "repeated"])
+    def test_planes_writing_one_file_are_a_usage_error(self, tmp_path, capsys, planes):
+        out = tmp_path / "sweep"
+        assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm", planes, "--res", "4",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --planes-cm: two planes would both write inner_plane30cm.csv\n"
+        assert not out.exists()
+
+
 class TestCoverage:
     def test_l1_outer_tag(self, capsys):
         assert main(["coverage", L1_PATH, "--tag", "outer-left", "--threshold", "1e-2"]) == 0
@@ -492,6 +503,28 @@ class TestOutOfMemory:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert [line[:7] for line in result.stderr.splitlines()] == ["error: "]
+
+
+class TestNoiseOverflow:
+    # The lamp's budget is finite but for its noise, 2 q R P B with a
+    # bandwidth of 1e300 Hz: one error line, and no numpy warning on stderr.
+    DOC = SINGLE_LAMP_DOC.replace("power_w: 1.0", "power_w: 1.0e+100").replace(
+        "gain: 1.3}", "gain: 1.3, bandwidth_hz: 1.0e+300}")
+
+    @pytest.mark.parametrize("command", [["grid", "--tag", "solo", "--res", "4", "--out", "grid.csv"], ["resolve"]],
+                             ids=["grid", "resolve"])
+    def test_one_error_line_and_no_warning(self, tmp_path, command):
+        (tmp_path / "doc.yaml").write_text(self.DOC)
+        src = str(Path(ledid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-m", "ledid", command[0], "doc.yaml", "--plane-cm", "30",
+                                 *command[1:]], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "RuntimeWarning" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: link budget overflows: noise is not finite")
+        assert not (tmp_path / "grid.csv").exists()
 
 
 def test_no_command_is_a_usage_error(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,3 +89,20 @@ def test_total_noise_monotone_in_every_input(p, ibg, thermal, isi, scale):
     assert total_noise_variance(p, DET, NoiseParams(
         background_current_a=ibg, thermal_a2=thermal, isi_a2=isi * scale)) >= base
     assert base >= shot_noise_variance(p, DET, NoiseParams(background_current_a=ibg))
+
+
+NOISY = NoiseParams(background_current_a=3e-5, i2=0.56, thermal_a2=2e-20, isi_a2=7e-21)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=30))
+def test_a_column_gets_the_bits_of_each_float(drawn):
+    powers = [0.0, 5e-324, 1e-310, 1e300, *drawn]
+    for params in (NoiseParams(), NOISY):
+        with np.errstate(over="ignore"):  # 1e300 W overflows the shot noise to inf
+            column = total_noise_variance(np.array(powers), DET, params)
+        assert [v.hex() for v in column.tolist()] == [total_noise_variance(p, DET, params).hex() for p in powers]
+
+
+def test_a_negative_element_raises():
+    with pytest.raises(ParameterError, match="received power must be >= 0"):
+        total_noise_variance(np.array([1e-6, 0.0, -1e-9]), DET, NOISY)
