@@ -19,13 +19,14 @@ run by run (interval branch and bound): ``link.segments_may_pass`` rules
 out each run whose SNR bound stays below the threshold's, any other run is
 split in eight, and the steps of the runs left go through
 ``evaluate_points`` in one batch, so only the steps that might pass are
-evaluated and the answer equals the full ladder's. The bisection steps are
-single points through the same call; the link model, the bound included,
-lives in ``link`` alone, and this module only searches. A probe that lands
-on a luminaire has no link budget and counts as failing.
-The off-axis angle is swept at half the maximum reliable distance with the
-receiver keeping the scenario's receiver orientation; both the measurement
-fraction and the threshold are explicit parameters.
+evaluated and the answer equals the full ladder's. Each bisection call to
+``evaluate_points`` takes the midpoints of the next three halvings; the
+link model, the bound included, lives in ``link`` alone, and this module
+only searches. A probe that lands on a luminaire has no link budget and
+counts as failing. The off-axis angle is swept at half the maximum
+reliable distance with the receiver keeping the scenario's receiver
+orientation; both the measurement fraction and the threshold are explicit
+parameters.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ _DISTANCE_TOL_M = 1.0e-3
 _SPLIT = 8
 _LEAF_STEPS = 32
 _ANGLE_TOL_DEG = 0.1
+# Halvings whose midpoints _bisect evaluates in one batch.
+_BISECT_LEVELS = 3
 
 UNBOUNDED = math.inf
 
@@ -182,52 +185,54 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     axis = lamps[0].pose.axis
     side = _perpendicular(axis)
 
-    def probes(distances, angle_deg: float = 0.0) -> np.ndarray:
+    def probes(distances, angles_deg=(0.0,)) -> np.ndarray:
         # Each position is origin + direction.scaled(distance), component
-        # by component, as Vec3 arithmetic computes it.
-        a = math.radians(angle_deg)
-        direction = axis.scaled(math.cos(a)) + side.scaled(math.sin(a))
+        # by component, as Vec3 arithmetic computes it; one angle serves
+        # every distance, or one distance every angle.
+        directions = [axis.scaled(math.cos(a)) + side.scaled(math.sin(a))
+                      for a in map(math.radians, angles_deg)]
         steps = np.asarray(distances, dtype=float)[:, None]
-        return (origin.x, origin.y, origin.z) + steps * (direction.x, direction.y, direction.z)
+        return (origin.x, origin.y, origin.z) + steps * np.array([(d.x, d.y, d.z) for d in directions])
 
-    def passes(distances, angle_deg: float = 0.0) -> np.ndarray:
+    def passes(points: np.ndarray) -> np.ndarray:
         try:
-            return np.asarray(evaluate_points(scenario, probes(distances, angle_deg), tag_id).ber) <= threshold
+            return np.asarray(evaluate_points(scenario, points, tag_id).ber) <= threshold
         except GeometryError:
             # A probe on a luminaire fails; halving the batch finds it.
-            if len(distances) == 1:
+            if len(points) == 1:
                 return np.zeros(1, dtype=bool)
-            half = len(distances) // 2
-            return np.concatenate((passes(distances[:half], angle_deg), passes(distances[half:], angle_deg)))
+            half = len(points) // 2
+            return np.concatenate((passes(points[:half]), passes(points[half:])))
 
-    def ok(distance: float) -> bool:
-        return passes([distance])[0]
+    def distances_pass(distances) -> np.ndarray:
+        return passes(probes(distances))
 
-    if not ok(_SCAN_STEP_M):
+    if not distances_pass([_SCAN_STEP_M])[0]:
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
     # Interference can make the error rate dip and rise along the ray, so
     # refine the ladder's last passing step (step 1 has passed). Past the
     # ladder's end every lamp is far off, and bracketing goes on from it.
     steps = _ladder_candidates(scenario, tag_id, probes, threshold)
-    last = int(steps[passes(steps * _SCAN_STEP_M)][-1])
+    last = int(steps[distances_pass(steps * _SCAN_STEP_M)][-1])
     if last == _SCAN_STEPS:
-        distance = _bracket_and_bisect(ok, _SCAN_CAP_M)
+        distance = _bracket_and_bisect(distances_pass, _SCAN_CAP_M)
     else:
-        distance = _bisect(ok, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
+        distance = _bisect(distances_pass, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
     if math.isinf(distance):
         return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
 
     radius = angle_distance_fraction * distance
 
-    def angle_ok(angle_deg: float) -> bool:
-        return passes([radius], angle_deg)[0]
+    def angles_pass(angles_deg) -> np.ndarray:
+        return passes(probes([radius], angles_deg))
 
-    if angle_ok(90.0):
+    at_90, at_0 = angles_pass([90.0, 0.0])
+    if at_90:
         angle = 90.0
-    elif not angle_ok(0.0):
+    elif not at_0:
         angle = 0.0
     else:
-        angle = _bisect(angle_ok, 0.0, 90.0, _ANGLE_TOL_DEG)
+        angle = _bisect(angles_pass, 0.0, 90.0, _ANGLE_TOL_DEG)
     return CoverageReport(tag_id, distance, angle, threshold)
 
 
@@ -252,27 +257,36 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
     return np.unique(np.concatenate(kept))
 
 
-def _bracket_and_bisect(ok, lo: float) -> float:
+def _bracket_and_bisect(passes, lo: float) -> float:
     # Monotone case: double out from lo to the first failure, then bisect
-    # to 1 mm.
+    # to 1 mm. passes maps a list of distances to whether each passes.
     hi = lo
-    while ok(hi):
+    while passes([hi])[0]:
         lo = hi
         hi *= 2.0
         if hi > _BRACKET_CAP_M:
             return UNBOUNDED
-    return _bisect(ok, lo, hi, _DISTANCE_TOL_M)
+    return _bisect(passes, lo, hi, _DISTANCE_TOL_M)
 
 
-def _bisect(ok, lo: float, hi: float, tol: float) -> float:
-    # With ok(lo) passing and ok(hi) failing, halve [lo, hi] until it is
-    # at most tol wide; return the passing end.
+def _bisect(passes, lo: float, hi: float, tol: float) -> float:
+    # With lo passing and hi failing, halve [lo, hi] until it is at most tol
+    # wide; return the passing end. passes maps a list of points to whether
+    # each passes. One call takes the midpoint of every interval wider than
+    # tol that the next _BISECT_LEVELS halvings might reach, and the
+    # halvings then read their results in order.
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        mids, level = {}, [(lo, hi)]
+        for _ in range(_BISECT_LEVELS):
+            level = [(a, b) for a, b in level if b - a > tol]
+            mids.update(((a, b), 0.5 * (a + b)) for a, b in level)
+            level = [span for a, b in level for span in ((a, mids[a, b]), (mids[a, b], b))]
+        passed = dict(zip(mids, passes(list(mids.values()))))
+        while (lo, hi) in mids:
+            if passed[lo, hi]:
+                lo = mids[lo, hi]
+            else:
+                hi = mids[lo, hi]
     return lo
 
 

@@ -15,6 +15,7 @@ since it may have stopped before the end of its work.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import statistics
@@ -68,6 +69,7 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache  # built on the first main() call, not at import, and reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ledid",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .scenario import BerGrid
 
 CSV_HEADER = "x_m,y_m,tag,h_data,signal_ms,interference_ms,noise_var,snr,ber"
@@ -22,33 +24,31 @@ _LOG_BER_HI = -0.3
 
 def grid_csv_text(grid: BerGrid) -> str:
     """Render a grid as CSV, one row per cell in row-major (y, x) order."""
-    lines = [CSV_HEADER]
     c = grid.columns
-    values = zip(c.h_data, c.signal_ms_a2, c.interference_ms_a2, c.noise_variance_a2, c.snr, c.ber)
-    for y in grid.y_centers_m:
-        for x in grid.x_centers_m:
-            lines.append(",".join((repr(x), repr(y), grid.tag_id, *map(repr, next(values)))))
-    return "\n".join(lines) + "\n"
+    xs = [repr(x) for x in grid.x_centers_m]
+    keys = [f"{x},{y},{grid.tag_id}" for y in map(repr, grid.y_centers_m) for x in xs]
+    values = (map(repr, column) for column in (c.h_data, c.signal_ms_a2, c.interference_ms_a2,
+                                               c.noise_variance_a2, c.snr, c.ber))
+    return "\n".join((CSV_HEADER, *map(",".join, zip(keys, *values)))) + "\n"
 
 
 def write_grid_csv(grid: BerGrid, path: str | Path) -> None:
     Path(path).write_bytes(grid_csv_text(grid).encode("ascii"))
 
 
-def _pixel(ber: float) -> int:
-    if ber <= 0.0:
-        return 0
-    level = (math.log10(ber) - _LOG_BER_LO) / (_LOG_BER_HI - _LOG_BER_LO) * 255.0
-    return max(0, min(255, int(round(level))))
-
-
 def grid_pgm_text(grid: BerGrid) -> str:
     """Render log-BER as a plain (P2) portable graymap, one image row per line."""
     width = len(grid.x_centers_m)
     height = len(grid.y_centers_m)
+    ber = np.asarray(grid.columns.ber)
+    positive = ber > 0.0
+    log_ber = np.zeros(len(ber))
+    log_ber[positive] = list(map(math.log10, ber[positive].tolist()))
+    level = (log_ber - _LOG_BER_LO) / (_LOG_BER_HI - _LOG_BER_LO) * 255.0
+    # rint rounds half to even, as round does.
+    pixels = np.where(positive, np.clip(np.rint(level), 0, 255), 0).astype(int).reshape(height, width)
     lines = ["P2", f"{width} {height}", "255"]
-    for start in range(0, width * height, width):
-        lines.append(" ".join(str(_pixel(ber)) for ber in grid.columns.ber[start:start + width]))
+    lines.extend(" ".join(map(str, row)) for row in pixels.tolist())
     return "\n".join(lines) + "\n"
 
 

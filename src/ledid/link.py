@@ -32,10 +32,17 @@ as columns, and every value it returns is bit-identical to the scalar one:
   (a negative base would give a complex power). numpy's ``power`` and
   ``exp`` differ from the C library in the last bit on some inputs and
   machines, so neither is used.
-* Sums over luminaires use ``math.fsum`` per point, as the scalar path
-  does; a correctly rounded sum does not depend on term order.
+* Sums over luminaires are the scalar path's ``math.fsum``, bit for bit.
+  Every term is >= 0, so a point with at most two nonzero terms sums
+  exactly in numpy's row sum: adding +0.0 is exact, and the one addition
+  rounds once, to the correctly rounded sum fsum returns. Points with more
+  take ``math.fsum`` over their row. Neither result depends on term order
+  (``a + b == b + a``, and zeros add exactly), so mirror-symmetric
+  layouts stay exactly symmetric.
 * Noise is ``total_noise_variance`` on the whole column, whose elements
-  get the bits a float gets; SNR and BER are the scalar functions per point.
+  get the bits a float gets. SNR and BER are computed a column at a time
+  in the operation order of ``snr`` and ``ber_bfsk``, with their 0 and
+  inf sentinels, and ``math.exp`` per value.
 
 ``segments_may_pass`` bounds the SNR over straight segments of positions,
 for the coverage search. It applies the kernel's own lit test, gain
@@ -271,21 +278,21 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkCo
     points = _as_points(positions)
     data = scenario.luminaire_arrays.tags == data_tag_id
 
-    h_data, received, signal, interference = array("d"), array("d"), array("d"), array("d")
+    # Rows h_data, received power, signal and interference, one column per position.
+    sums = np.empty((4, len(points)))
     step = max(1, _BLOCK_PAIRS // len(data))
     for start in range(0, len(points), step):
         h = luminaire_gains(scenario, points[start:start + step])
         incident, terms = _signal_terms(scenario, h)
-        h_data.extend(map(_fsum_or_inf, h[:, data].tolist()))
-        received.extend(map(_fsum_or_inf, incident.tolist()))
-        signal.extend(map(_fsum_or_inf, terms[:, data].tolist()))
-        interference.extend(map(_fsum_or_inf, terms[:, ~data].tolist()))
+        for row, block in enumerate((h[:, data], incident, terms[:, data], terms[:, ~data])):
+            sums[row, start:start + step] = _row_sums(block)
+    h_data, received, signal, interference = sums
     with np.errstate(over="ignore"):  # a noise that overflows is inf, for _check_budget
-        noise = total_noise_variance(np.asarray(received), scenario.detector, scenario.noise)
-    noise = array("d", noise.tobytes())
+        noise = total_noise_variance(received, scenario.detector, scenario.noise)
     _check_budget(received, signal, interference, noise)
-    snrs = array("d", map(snr, signal, interference, noise))
-    return LinkColumns(h_data, received, signal, interference, noise, snrs, array("d", map(ber_bfsk, snrs)))
+    snrs, bers = _snr_and_ber(signal, interference, noise)
+    return LinkColumns(*(array("d", column.tobytes())
+                         for column in (h_data, received, signal, interference, noise, snrs, bers)))
 
 
 def luminaire_gains(scenario: "Scenario", positions) -> np.ndarray:
@@ -412,6 +419,28 @@ def _check_budget(received_power, signal_ms, interference_ms, noise_variance) ->
         if not np.isfinite(value).all():
             raise ParameterError(f"link budget overflows: {name} is not finite "
                                  f"(power_w or detector values too large)")
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    # _fsum_or_inf of each row of non-negative terms. A row with at most two
+    # nonzero terms sums exactly in numpy: adding +0.0 is exact and one
+    # addition rounds once, to the float fsum gives (inf where it overflows).
+    with np.errstate(over="ignore"):
+        sums = terms.sum(axis=1)
+    many = (terms != 0.0).sum(axis=1) > 2
+    if many.any():
+        sums[many] = list(map(_fsum_or_inf, terms[many].tolist()))
+    return sums
+
+
+def _snr_and_ber(signal: np.ndarray, interference: np.ndarray,
+                 noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # snr and ber_bfsk on whole columns of a finite budget, in their
+    # operation order: a positive signal over a zero denominator is the
+    # infinite sentinel, whose error rate 0.5 exp(-inf) is 0.
+    with np.errstate(all="ignore"):
+        snrs = np.where(signal == 0.0, 0.0, signal / (noise + interference))
+    return snrs, 0.5 * np.fromiter(map(math.exp, (-0.5 * snrs).tolist()), float, len(snrs))
 
 
 def _fsum_or_inf(terms: list[float]) -> float:

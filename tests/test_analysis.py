@@ -566,3 +566,52 @@ class TestSegmentBound:
             assert kept[np.array(columns.ber) <= threshold].all()
             assert not kept[lit & (snr < 0.999 * target)].any()
             assert (lit & (snr < 0.999 * target)).sum() > 500
+
+
+def sequential_bisect(ok, lo, hi, tol):
+    """The one-point-at-a-time bisection: the answer and its number of halvings."""
+    halvings = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        halvings += 1
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, halvings
+
+
+class TestBatchedBisection:
+    """``_bisect`` evaluates several halvings per call and keeps the sequential answer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-100.0, 100.0), st.floats(1e-3, 200.0), st.floats(1e-6, 10.0),
+           st.one_of(st.floats(0.0, 1.0).map(lambda f: ("monotone", f)),
+                     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(lambda cuts: ("bands", cuts)),
+                     st.integers(1, 10 ** 6).map(lambda k: ("comb", k))))
+    @example(0.0, 1.0, 1.0, ("monotone", 0.5))       # already within tol: no call
+    @example(0.0, 90.0, 0.1, ("monotone", 0.3))      # the angle search
+    @example(0.37, 0.01, 1e-3, ("comb", 7))          # one ladder step
+    def test_batched_answer_is_the_sequential_answer(self, lo, width, tol, predicate):
+        hi = lo + width
+        kind, shape = predicate
+        if kind == "monotone":
+            def ok(x):
+                return x <= lo + shape * width
+        elif kind == "bands":
+            # Passing and failing bands alternate between the sorted cuts.
+            def ok(x):
+                return sum(x > lo + c * width for c in shape) % 2 == 0
+        else:
+            def ok(x):
+                return hash(x) % shape % 2 == 0
+        calls = []
+
+        def passes(points):
+            calls.append(list(points))
+            return np.array([ok(x) for x in points])
+
+        expected, halvings = sequential_bisect(ok, lo, hi, tol)
+        assert analysis._bisect(passes, lo, hi, tol).hex() == expected.hex()
+        assert len(calls) == -(-halvings // analysis._BISECT_LEVELS)
+        assert all(0 < len(batch) <= 2 ** analysis._BISECT_LEVELS - 1 for batch in calls)

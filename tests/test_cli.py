@@ -578,3 +578,34 @@ class TestFlagFuzzing:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().count("error:") == (code != 0), err.getvalue()
+
+
+class TestRepeatedCalls:
+    """One process may call ``main`` many times; the parser is built once and reused."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", L1_PATH],
+        ["coverage", L1_PATH, "--tag", "inner"],
+        ["coverage", L1_PATH, "--tag", "nope"],
+        ["coverage", L1_PATH],
+        ["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "x", "--out", "unused.csv"],
+        ["resolve", L1_PATH, "--plane-cm", "-1"],
+        ["frobnicate"],
+        [],
+        ["--help"],
+        ["mc-verify", "--help"],
+    ], ids=["validate", "coverage", "unknown-tag", "missing-flag", "bad-int", "usage-error",
+            "bad-command", "no-command", "help", "subcommand-help"])
+    def test_same_output_and_exit_code_every_time(self, argv, capsys):
+        runs = []
+        for _ in range(3):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_parser_is_built_on_first_use_not_at_import(self):
+        probe = ("import ledid.cli as cli; assert cli._build_parser.cache_info().currsize == 0; "
+                 "cli._build_parser(); assert cli._build_parser() is cli._build_parser()")
+        env = {**os.environ, "PYTHONPATH": str(Path(ledid.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)

@@ -29,6 +29,7 @@ from ledid import (
     TagNotFoundError,
     Vec3,
     builtin_g1,
+    ber_bfsk,
     builtin_l1,
     coverage,
     evaluate_grid,
@@ -36,7 +37,9 @@ from ledid import (
     evaluate_points,
     link_geometry,
     scenario_critical_distance,
+    snr,
 )
+from ledid import link
 from ledid.analysis import foot_bers
 
 DOWN = Vec3(0.0, 0.0, -1.0)
@@ -369,3 +372,45 @@ class TestFieldOfViewEdge:
             assert theta < math.radians(80.0)
         columns = assert_matches_scalar(scenario, [(inside, 0.0, 1.7), (outside, 0.0, 1.7)], "solo")
         assert columns.h_data[0] > 0.0 and columns.h_data[1] == 0.0
+
+
+def fsum_or_inf(row):
+    # math.fsum, with inf where the exact sum of finite terms overflows.
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+# Non-negative terms: zeros, the smallest subnormal, other subnormals,
+# pairs near the largest float whose sum overflows, inf and nan.
+TERM_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e308, 1.7976931348623157e308, math.inf, math.nan)
+terms = st.one_of(st.sampled_from(TERM_VALUES), st.floats(0.0))
+# Mostly zeros, so rows with 0, 1, 2 and 3 or more nonzero terms all come up.
+sparse_terms = st.one_of(st.just(0.0), st.just(0.0), terms)
+
+
+class TestColumnReductions:
+    """Whole-column sums, SNR and BER against their per-element references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda width: st.lists(
+        st.lists(sparse_terms, min_size=width, max_size=width), min_size=1, max_size=12)))
+    @example([[1e308, 1e308, 0.0], [1.7976931348623157e308, 5e-324, 0.0], [math.inf, 0.0, math.nan]])
+    @example([[5e-324, 5e-324, 5e-324], [1e-310, 1.0, 1e-16]])
+    @example([[0.0] * 4, [0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 0.3, 0.0], [0.1, 0.2, 0.3, 1e16]])
+    def test_row_sums_are_fsum_bit_for_bit(self, rows):
+        assert bits(link._row_sums(np.array(rows, dtype=float))) == bits(map(fsum_or_inf, rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from((0.0, 5e-324, 1e-310, 1e308)),
+                                          st.floats(0.0, allow_infinity=False))] * 3), min_size=1, max_size=12))
+    @example([(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.0), (1e308, 1e-300, 0.0), (1e-300, 1e300, 1e300)])
+    def test_snr_and_ber_columns_are_the_scalar_functions(self, budgets):
+        signal, interference, noise = (np.array(c) for c in zip(*budgets))
+        snrs, bers = link._snr_and_ber(signal, interference, noise)
+        expected = [snr(*budget) for budget in budgets]
+        assert bits(snrs) == bits(expected)
+        assert bits(bers) == bits(map(ber_bfsk, expected))
+        if (1.0, 0.0, 0.0) in budgets:
+            assert math.inf in snrs.tolist() and 0.0 in bers.tolist()
