@@ -8,6 +8,9 @@ Three questions a deployment planner asks of a scenario:
   given plane (error rate at most a threshold, 1e-2 by default),
 * how far away, and how far off axis, can a single tag be read reliably.
 
+Resolvability is one ``evaluate_points`` call over the feet of all the
+luminaires, each foot with its own lamp's tag.
+
 Coverage searches walk the boresight ray of the tag's (first) luminaire.
 Any other lamp can make the error rate non-monotone along the ray: an
 interferer, or a second lamp of the same tag whose beam crosses the ray
@@ -106,15 +109,17 @@ def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float 
     """
     if not 0.0 < threshold:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    entries = []
-    for tag in scenario.tags():
-        best = min(foot_bers(scenario, plane_distance_m, tag))
-        entries.append(TagResolvability(tag_id=tag, min_ber_under_lamp=best,
-                                        resolvable=best <= threshold))
+    z = scenario.room.plane_z(plane_distance_m)
+    lamps = scenario.luminaire_arrays
+    feet = np.column_stack((lamps.tx[:, 0], lamps.tx[:, 1], np.full(len(lamps.tx), z)))
+    best: dict[str, float] = {}  # in first-appearance order, as scenario.tags()
+    for tag, ber in zip(lamps.tags.tolist(), evaluate_points(scenario, feet, lamps.tags).ber):
+        best[tag] = min(best.get(tag, ber), ber)
     return ResolvabilityReport(
         plane_distance_m=plane_distance_m,
         threshold_ber=threshold,
-        tags=tuple(entries),
+        tags=tuple(TagResolvability(tag_id=tag, min_ber_under_lamp=ber, resolvable=ber <= threshold)
+                   for tag, ber in best.items()),
         critical_overlap_distance_m=scenario_critical_distance(scenario),
     )
 

@@ -20,7 +20,8 @@ ParameterError, in both paths through the one check ``_check_budget``.
 
 ``evaluate_link`` is the scalar reference for one position. The batch
 kernel, ``evaluate_points``, returns the same quantities for many positions
-as columns, and every value it returns is bit-identical to the scalar one:
+as columns, for one data tag or for one tag per position, and every value
+it returns is bit-identical to the scalar one:
 
 * numpy does only what IEEE 754 rounds exactly (+, -, *, /, sqrt and
   comparisons), in the scalar code's operation order, e.g.
@@ -229,7 +230,7 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
     others interfere. The shot-noise power is driven by the total incident
     optical power from both sets.
     """
-    scenario.luminaires_for(data_tag_id)
+    scenario.check_tags((data_tag_id,))
     detector = scenario.detector
     rx = Pose(position, scenario.receiver_axis)
 
@@ -265,26 +266,42 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
     )
 
 
-def evaluate_points(scenario: "Scenario", positions, data_tag_id: str) -> LinkColumns:
-    """Link budgets for ``data_tag_id`` at many receiver positions.
+def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns:
+    """Link budgets at many receiver positions, for one data tag or one per position.
 
-    ``positions`` is an (n, 3) array-like of x, y, z in meters. The result
-    is bit-identical to ``evaluate_link`` at each position (see the module
-    docstring), and raises the same errors: TagNotFoundError for an unknown
-    tag, GeometryError when a position coincides with a luminaire,
+    ``positions`` is an (n, 3) array-like of x, y, z in meters.
+    ``data_tag_id`` is one tag for every position, or a list, tuple or
+    array of n tags, one per position. Entry ``i`` is bit-identical to
+    ``evaluate_link`` at position ``i`` for its tag (see the module
+    docstring), and the same errors are raised: TagNotFoundError for an
+    unknown tag, GeometryError when a position coincides with a luminaire,
     ParameterError when the budget at any position is not finite.
     """
-    scenario.luminaires_for(data_tag_id)
+    per_point = isinstance(data_tag_id, (list, tuple, np.ndarray))
+    scenario.check_tags(data_tag_id if per_point else (data_tag_id,))
     points = _as_points(positions)
-    data = scenario.luminaire_arrays.tags == data_tag_id
+    lamps = scenario.luminaire_arrays
+    if per_point:
+        tags = np.asarray(data_tag_id)
+        if tags.shape != (len(points),):
+            raise ParameterError(f"expected one data tag per position, got {len(tags)} for {len(points)}")
+    else:
+        data = lamps.tags == data_tag_id
 
     # Rows h_data, received power, signal and interference, one column per position.
     sums = np.empty((4, len(points)))
-    step = max(1, _BLOCK_PAIRS // len(data))
+    step = max(1, _BLOCK_PAIRS // len(lamps.tags))
     for start in range(0, len(points), step):
         h = luminaire_gains(scenario, points[start:start + step])
         incident, terms = _signal_terms(scenario, h)
-        for row, block in enumerate((h[:, data], incident, terms[:, data], terms[:, ~data])):
+        if per_point:
+            # Zeros where a lamp is not the position's data tag: adding +0.0
+            # is exact, and _row_sums counts only the nonzero terms.
+            data = tags[start:start + step, None] == lamps.tags
+            rows = (np.where(data, h, 0.0), incident, np.where(data, terms, 0.0), np.where(data, 0.0, terms))
+        else:
+            rows = (h[:, data], incident, terms[:, data], terms[:, ~data])
+        for row, block in enumerate(rows):
             sums[row, start:start + step] = _row_sums(block)
     h_data, received, signal, interference = sums
     with np.errstate(over="ignore"):  # a noise that overflows is inf, for _check_budget
@@ -373,7 +390,10 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
         power_hi = incident_hi.sum(axis=1) * up
         noise_hi = total_noise_variance(power_hi, scenario.detector, scenario.noise) * up
         noise_lo = total_noise_variance(incident_lo.sum(axis=1) * down, scenario.detector, scenario.noise) * down
-        snr_hi = signal_hi / (noise_lo + interference_lo)
+        # A dark data tag bounds the SNR by 0, as in _snr_and_ber, not by 0 / 0 =
+        # nan (no noise, no interference). From a threshold of 0.5 / (1 + margin)
+        # up the target is not positive, so the segment is kept, as from 0.5 up it must be.
+        snr_hi = np.where(signal_hi == 0.0, 0.0, signal_hi / (noise_lo + interference_lo))
     finite = np.isfinite(signal_hi) & np.isfinite(interference_hi) & np.isfinite(power_hi) & np.isfinite(noise_hi)
     return ~(finite & (snr_hi < target))
 

@@ -22,10 +22,11 @@ keys are rejected so typos cannot silently fall back to defaults):
 Values in parentheses are the defaults applied when a key is omitted.
 
 Documents are scanned and parsed by libyaml through PyYAML's C extension,
-which is required; PyYAML's Python composer and safe constructor build
-the objects, so a document nested too deeply raises RecursionError (a
-parse error here) instead of overflowing the C stack, and YAML syntax
-errors carry libyaml's wording.
+which is required, and ``_DocumentLoader`` builds the objects from its
+events without recursion, resolving and constructing scalars as PyYAML's
+safe loader does. More than 500 nested collections is a parse error
+("document is nested too deeply"), and YAML syntax errors carry libyaml's
+wording.
 """
 
 from __future__ import annotations
@@ -35,12 +36,16 @@ import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 import yaml
-from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.cyaml import CParser
+from yaml.events import (AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent,
+                         StreamEndEvent)
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from .channel import DetectorModel, EmitterModel
@@ -130,6 +135,17 @@ class Scenario:
         """The luminaires as read-only arrays for the batch kernel, built on first use."""
         return LuminaireArrays.of(self.luminaires)
 
+    @cached_property
+    def tag_set(self) -> frozenset[str]:
+        """The tags the luminaires carry, built on first use."""
+        return frozenset(lum.tag for lum in self.luminaires)
+
+    def check_tags(self, tag_ids) -> None:
+        """Raise TagNotFoundError for the first of ``tag_ids`` that no luminaire carries."""
+        if not self.tag_set.issuperset(tag_ids):
+            unknown = next(tag for tag in tag_ids if tag not in self.tag_set)
+            raise TagNotFoundError(f"no luminaire carries tag {unknown!r}")
+
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""
         seen: dict[str, None] = {}
@@ -138,10 +154,8 @@ class Scenario:
         return tuple(seen)
 
     def luminaires_for(self, tag_id: str) -> tuple[Luminaire, ...]:
-        found = tuple(lum for lum in self.luminaires if lum.tag == tag_id)
-        if not found:
-            raise TagNotFoundError(f"no luminaire carries tag {tag_id!r}")
-        return found
+        self.check_tags((tag_id,))
+        return tuple(lum for lum in self.luminaires if lum.tag == tag_id)
 
 
 @dataclass(frozen=True)
@@ -226,7 +240,7 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
     compatibility and ignored; cells are evaluated on the calling thread,
     so it changes neither the output nor the speed.
     """
-    scenario.luminaires_for(data_tag_id)
+    scenario.check_tags((data_tag_id,))
     room = scenario.room
     half_w = 0.5 * room.width_m
     half_d = 0.5 * room.depth_m
@@ -289,31 +303,131 @@ _SCHEMA = (
 _TEXT_KEYS = frozenset(("name", "description", "tag"))
 
 
-class _DocumentLoader(Composer, CParser, SafeConstructor, Resolver):
-    """PyYAML's safe loader on libyaml's parser; a mapping key given twice is an error.
+# Collections a document may nest, the root included; PyYAML's recursive
+# composer gives out at about 495 under Python's default recursion limit.
+_MAX_DEPTH = 500
+# What an open collection reads next: an item, a key, or the value of a
+# merge key `<<` (which _MERGE also stands for in anchors).
+_ITEM, _KEY, _MERGE = object(), object(), object()
 
-    The composer is PyYAML's Python one, not the C one of ``CSafeLoader``,
-    which recurses on the C stack and crashes the interpreter on a deeply
-    nested document.
+
+class _DocumentLoader(CParser, SafeConstructor, Resolver):
+    """A yaml loader that builds a document straight from libyaml's events.
+
+    One pass over the events keeps a stack of the open collections and no
+    node tree, so nesting costs no recursion. Scalars resolve and construct
+    with PyYAML's Resolver and SafeConstructor. Anchors, aliases (a
+    collection may hold itself), ``<<`` merges and explicit tags build what
+    PyYAML's safe loader builds, except that a key given twice, directly or
+    through a merge, is a ScenarioParseError naming it and its line, and so
+    is nesting more than ``_MAX_DEPTH`` collections deep; a collection takes
+    no tag but its own (no ``!!set``, ``!!omap`` or ``!!pairs``); and a
+    mapping cannot merge a collection that encloses it.
     """
 
-    def __init__(self, stream):
-        CParser.__init__(self, stream)
-        Composer.__init__(self)
-        SafeConstructor.__init__(self)
-        Resolver.__init__(self)
+    def get_single_data(self):
+        self.get_event()  # stream start
+        data = None
+        if not self.check_event(StreamEndEvent):
+            start = self.get_event().start_mark  # document start
+            data = self._document()
+            self.get_event()  # document end
+            if not self.check_event(StreamEndEvent):
+                raise ComposerError("expected a single document in the stream", start,
+                                    "but found another document", self.get_event().start_mark)
+        return data
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep)
-        if len(mapping) < len(node.value):
-            seen = set()
-            for key_node, _ in node.value:
-                key = self.constructed_objects[key_node]
-                if key in seen:
-                    raise ScenarioParseError(
-                        f"duplicate key {key!r} at line {key_node.start_mark.line + 1}")
-                seen.add(key)
-        return mapping
+    def _document(self):
+        get_event, anchors = self.get_event, {}
+        # Per open collection: [container, _ITEM, _KEY, _MERGE or the key whose
+        # value comes next, the pairs merged so far, the mark of the last key].
+        stack = []
+        while True:
+            event = get_event()
+            kind = type(event)
+            at_key = bool(stack) and stack[-1][1] is _KEY
+            if kind is AliasEvent:
+                if event.anchor not in anchors:
+                    raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
+                value = anchors[event.anchor]
+                if value is _MERGE and not at_key:
+                    raise ConstructorError(None, None, "found a merge key where no key goes", event.start_mark)
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                value, _, merged, _ = stack.pop()
+                if merged:  # merged pairs come first
+                    merged.update(value)
+                    value.clear()
+                    value.update(merged)
+            else:
+                if kind is ScalarEvent:
+                    value = self._scalar(event, at_key)
+                else:
+                    if len(stack) == _MAX_DEPTH:
+                        raise ScenarioParseError("document is nested too deeply")
+                    mapping = kind is MappingStartEvent
+                    own_tag = self.DEFAULT_MAPPING_TAG if mapping else self.DEFAULT_SEQUENCE_TAG
+                    if event.tag not in (None, "!", own_tag):
+                        raise ConstructorError(None, None, f"a collection cannot take the tag {event.tag!r}",
+                                               event.start_mark)
+                    value = {} if mapping else []
+                if event.anchor in anchors:
+                    raise ComposerError(None, None, f"found duplicate anchor {event.anchor!r}", event.start_mark)
+                if event.anchor is not None:
+                    anchors[event.anchor] = value
+                if kind is not ScalarEvent:
+                    stack.append([value, _KEY if mapping else _ITEM, None, None])
+                    continue
+            if not stack:
+                return value
+            top = stack[-1]
+            container, state, merged, _ = top
+            if state is _ITEM:
+                container.append(value)
+            elif state is _KEY:
+                if isinstance(value, (list, dict)):
+                    raise ConstructorError(None, None, "found unhashable key", event.start_mark)
+                top[1], top[3] = value, event.start_mark
+            elif state is _MERGE:
+                top[1], top[2] = _KEY, self._merge(value, merged or {}, container, stack, top[3])
+            elif state in container or (merged and state in merged):
+                raise ScenarioParseError(f"duplicate key {state!r} at line {top[3].line + 1}")
+            else:
+                container[state] = value
+                top[1] = _KEY
+
+    def _scalar(self, event, at_key):
+        tag = event.tag
+        if tag is None or tag == "!":
+            tag = self.resolve(ScalarNode, event.value, event.implicit)
+        if at_key and tag == "tag:yaml.org,2002:merge":
+            return _MERGE
+        if tag == self.DEFAULT_SCALAR_TAG or (at_key and tag == "tag:yaml.org,2002:value"):
+            return event.value
+        node = ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+        try:
+            data = self.yaml_constructors.get(tag, self.yaml_constructors[None])(self, node)
+            if isinstance(data, GeneratorType):
+                list(data)  # a collection's tag on a scalar: the constructor raises
+        except (IndexError, KeyError, AttributeError):
+            # How PyYAML's constructors fail on some tagged scalars (`!!int ''`).
+            raise ConstructorError(None, None, f"cannot read {event.value!r} as {tag}", event.start_mark) from None
+        return data
+
+    @staticmethod
+    def _merge(value, merged: dict, mapping: dict, stack: list, mark) -> dict:
+        # The pairs of a merge's value (a mapping, or a sequence of them, the
+        # last one first) after those merged so far; no key may repeat.
+        sources = value[::-1] if isinstance(value, list) else [value]
+        for source in sources:
+            if not isinstance(source, dict):
+                raise ConstructorError(None, None, "expected a mapping or a list of mappings to merge", mark)
+            if any(f[0] is source or f[0] is value for f in stack):
+                raise ConstructorError(None, None, "cannot merge a collection that encloses the mapping", mark)
+            for key, item in source.items():
+                if key in merged or key in mapping:
+                    raise ScenarioParseError(f"duplicate key {key!r} at line {mark.line + 1}")
+                merged[key] = item
+        return merged
 
 
 def load_scenario_with_defaults(text: str) -> tuple[Scenario, tuple[str, ...]]:
@@ -323,9 +437,6 @@ def load_scenario_with_defaults(text: str) -> tuple[Scenario, tuple[str, ...]]:
     except (yaml.YAMLError, ValueError) as exc:
         # PyYAML raises ValueError for an integer too long to convert.
         raise ScenarioParseError(f"document is not valid YAML: {exc}") from exc
-    except RecursionError:
-        # PyYAML composes nested collections recursively.
-        raise ScenarioParseError("document is nested too deeply") from None
     values, applied = _read_document(doc)
 
     room = _build("room.", Room, **values["room"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bench_documents import bench_gen
 from ledid import analysis
 from ledid import (
     DetectorModel,
@@ -26,9 +27,11 @@ from ledid import (
     critical_overlap_distance,
     evaluate_link,
     evaluate_points,
+    load_scenario,
     resolvability,
     scenario_critical_distance,
 )
+from ledid.analysis import foot_bers
 from ledid.link import segments_may_pass
 
 DOWN = Vec3(0.0, 0.0, -1.0)
@@ -132,6 +135,45 @@ class TestResolvability:
             resolvability(builtin_l1(), 0.0)
         with pytest.raises(ParameterError):
             resolvability(builtin_l1(), 2.5)
+
+
+def per_tag_resolvability(scenario, plane_m, threshold=1e-2):
+    """(tag, hex of the lowest foot error rate, resolvable) per tag, from one foot_bers call per tag."""
+    rows = []
+    for tag in scenario.tags():
+        best = min(foot_bers(scenario, plane_m, tag))
+        rows.append((tag, best.hex(), best <= threshold))
+    return rows
+
+
+def generated_ceiling(n, seed):
+    # The benchmark's n x n ceilings: 8 x 8 at 0.4 m with 16 tags, 16 x 16 at 0.5 m with 64.
+    pitch, tags = {8: (0.4, 16), 16: (0.5, 64)}[n]
+    return load_scenario(bench_gen().ceiling(f"ceiling-{n}x{n}", n, pitch, tags, random.Random(seed)))
+
+
+class TestResolvabilityInOneBatch:
+    """``resolvability``'s one kernel call against one ``foot_bers`` call per tag."""
+
+    @staticmethod
+    def assert_matches(scenario, plane_m):
+        report = resolvability(scenario, plane_m)
+        got = [(e.tag_id, e.min_ber_under_lamp.hex(), e.resolvable) for e in report.tags]
+        assert got == per_tag_resolvability(scenario, plane_m)
+        assert report.critical_overlap_distance_m == scenario_critical_distance(scenario)
+
+    @pytest.mark.parametrize("make", [builtin_l1, builtin_g1], ids=["l1", "g1"])
+    @pytest.mark.parametrize("plane_m", [0.3, 0.4, 0.5])
+    def test_shipped_layouts(self, make, plane_m):
+        self.assert_matches(make(), plane_m)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_ceilings(self, n, seed):
+        scenario = generated_ceiling(n, seed)
+        assert len(scenario.luminaires) == n * n
+        for plane_m in (0.6, 0.9, 1.2, 1.5):
+            self.assert_matches(scenario, plane_m)
 
 
 class TestCoverage:
@@ -566,6 +608,36 @@ class TestSegmentBound:
             assert kept[np.array(columns.ber) <= threshold].all()
             assert not kept[lit & (snr < 0.999 * target)].any()
             assert (lit & (snr < 0.999 * target)).sum() > 500
+
+
+class TestNoiselessBound:
+    """``segments_may_pass`` where no noise and no interference reach a position."""
+
+    @pytest.mark.parametrize("threshold", [1e-6, 1e-3, 1e-2, 0.1, 0.49])
+    def test_no_dark_position_is_kept_below_one_half(self, threshold):
+        # L1 has no noise but the signal's own shot noise: a position that
+        # sees no lamp has no noise either, so its SNR bound used to be
+        # 0 / 0 and kept the position.
+        scenario = builtin_l1()
+        rng = np.random.default_rng(27)
+        points = np.column_stack((rng.uniform(-1.0, 1.0, 4000), rng.uniform(-1.0, 1.0, 4000),
+                                  rng.uniform(0.5, 1.95, 4000)))
+        for tag in scenario.tags():
+            columns = evaluate_points(scenario, points, tag)
+            dark = np.array(columns.signal_ms_a2) == 0.0
+            unlit = np.array(columns.received_power_w) == 0.0
+            kept = segments_may_pass(scenario, tag, points, points, threshold)
+            assert unlit.sum() > 500
+            assert not kept[dark].any()
+            assert kept[np.array(columns.ber) <= threshold].all()
+
+    def test_dark_positions_are_kept_from_one_half_up(self):
+        # An error rate of 1/2 passes a threshold of 1/2.
+        scenario = builtin_l1()
+        points = np.array([(0.9, 0.9, 1.9), (-0.9, 0.5, 1.5)])
+        assert (np.array(evaluate_points(scenario, points, "inner").received_power_w) == 0.0).all()
+        for threshold in (0.5, 0.7):
+            assert segments_may_pass(scenario, "inner", points, points, threshold).all()
 
 
 def sequential_bisect(ok, lo, hi, tol):

@@ -222,6 +222,69 @@ class TestEvaluatePoints:
         assert [c.snr[0] for c in parts] == list(whole.snr[::97])
 
 
+# Where shared_tag_scenario's lamps sit, so that drawn positions can land on one.
+LAMP_SPOTS = ((-0.3, -0.3, 2.5), (-0.3, 0.3, 2.5), (0.3, -0.3, 2.5), (0.3, 0.3, 2.5), (0.0, 0.0, 2.5),
+              (0.9, -0.6, 2.4))
+NOISY = NoiseParams(background_current_a=5e-4, thermal_a2=1e-12)
+
+
+class TestPerPositionTags:
+    """``evaluate_points`` with one data tag per position."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.0, 2.5)),
+                              st.sampled_from(("twin", "odd"))), min_size=1, max_size=12),
+           st.booleans(), st.integers(0, 5), st.sampled_from(LAMP_SPOTS),
+           st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)), st.sampled_from((30.0, 60.0, 90.0)),
+           st.sampled_from((NoiseParams(), NOISY)))
+    def test_equals_the_per_tag_calls_and_the_scalar_path(self, drawn, shared, on_lamp, spot, tilt, fov, noise):
+        # One list in six puts its last position on a lamp.
+        scenario = shared_tag_scenario(Vec3(tilt[0], tilt[1], 1.0).normalized(), fov, noise)
+        points = [p for p, _ in drawn[:-1]] + [spot if on_lamp == 0 else drawn[-1][0]]
+        tags = [drawn[0][1] if shared else tag for _, tag in drawn]
+        try:
+            budgets = [evaluate_link(scenario, Vec3(*p), tag) for p, tag in zip(points, tags)]
+        except GeometryError:
+            with pytest.raises(GeometryError, match="coincide"):
+                evaluate_points(scenario, points, tags)
+            return
+        columns = evaluate_points(scenario, points, tags)
+        assert bits(columns.h_data) == bits(b.data_gain(tag) for b, tag in zip(budgets, tags))
+        for name in FIELDS:
+            assert bits(getattr(columns, name)) == bits(getattr(b, name) for b in budgets), name
+        for tag in set(tags):
+            mine = [i for i, t in enumerate(tags) if t == tag]
+            alone = evaluate_points(scenario, [points[i] for i in mine], tag)
+            for name in ("h_data", *FIELDS):
+                assert bits(getattr(alone, name)) == bits(getattr(columns, name)[i] for i in mine), name
+
+    def test_blocks_and_sequence_types_do_not_change_the_result(self):
+        # 9 lamps put about 900 points in one block; 2000 points span three.
+        scenario = builtin_g1()
+        points = [(-0.9 + 0.0009 * i, 0.3 - 0.0002 * i, 1.55) for i in range(2000)]
+        tags = [scenario.tags()[i % 9] for i in range(2000)]
+        whole = evaluate_points(scenario, points, tags)
+        assert evaluate_points(scenario, np.array(points), tuple(tags)) == whole
+        assert evaluate_points(scenario, points, np.array(tags)) == whole
+        for k, tag in enumerate(scenario.tags()):
+            assert list(evaluate_points(scenario, points[k::9], tag).ber) == list(whole.ber[k::9])
+
+    @pytest.mark.parametrize("tags", [["nope", "inner"], ("inner", "nope"), np.array(["inner", "nope"])],
+                             ids=["list", "tuple", "array"])
+    def test_an_unknown_tag_anywhere_raises(self, tags):
+        with pytest.raises(TagNotFoundError, match="'nope'"):
+            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)], tags)
+
+    def test_a_position_on_a_lamp_raises(self):
+        with pytest.raises(GeometryError, match="coincide"):
+            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.16, 0.0, 2.0)], ["inner", "outer-left"])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_tag_per_position_or_a_parameter_error(self, count):
+        with pytest.raises(ParameterError, match="one data tag per position"):
+            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)], ["inner"] * count)
+
+
 class TestGridColumns:
     def test_cells_view_is_the_scalar_budget(self):
         scenario = shared_tag_scenario()

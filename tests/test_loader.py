@@ -1,7 +1,8 @@
 """The libyaml-based document loader against PyYAML's pure-Python one.
 
-``scenario._DocumentLoader`` scans and parses with libyaml and composes and
-constructs with PyYAML's Python classes. On generated scenario documents,
+``scenario._DocumentLoader`` scans and parses with libyaml and builds the
+objects from its events, with PyYAML's scalar resolver and constructors. On
+generated scenario documents,
 and on documents broken by inserted characters and YAML fragments, it must
 build the same objects as ``yaml.SafeLoader`` (with the same duplicate-key
 rule), or both must raise. ``ledid validate`` on the same documents keeps
@@ -23,6 +24,7 @@ document holding one of them is checked only where both loaders succeed:
 import contextlib
 import io
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,9 +33,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_documents import workload_documents
+from ledid import builtin_scenario_path, scenario
 from ledid.cli import main
 from ledid.errors import ScenarioParseError
-from ledid.scenario import _DocumentLoader
+from ledid.scenario import _MAX_DEPTH, _DocumentLoader
 
 NUMBERS = ("2.0", "2", "0.5", "1.0e-4", "1e3", "1.0e+300", "1_000", "0x1F", "0o17", "017", "1:30",
            ".inf", "-.inf", ".nan", "~", "true", "'2.0'", "2001-12-14")
@@ -154,3 +158,116 @@ def test_empty_value_before_a_flow_indicator_is_a_parse_error(value, tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("error: document is not valid YAML")
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
+# Documents whose objects both loaders build alike, anchors and merges included.
+SAME_OBJECTS = {
+    "self-sequence": "&x [*x]",
+    "self-mapping": "&x {a: *x}",
+    "merged-alias": "a: &x {b: 1, c: 2}\nd: {<<: *x, e: 3}\n",
+    "merge-sequence": "x: &x {a: 1}\ny: &y {b: 2}\nz: {c: 3, <<: [*x, *y, {d: 4}]}\n",
+    "merge-of-merged": "x: &x {a: 1}\ny: &y {<<: *x, b: 2}\nz: {<<: *y}\n",
+    "date": "2001-12-14",
+    "empty": "",
+}
+# Documents that both loaders reject.
+BOTH_FAIL = {
+    "merged-key-given-again": "x: &x {a: 1}\ny: {<<: *x, a: 2}\n",
+    "merged-key-given-before": "x: &x {a: 1}\ny: {a: 2, <<: *x}\n",
+    "key-in-two-merges": "x: &x {a: 1}\ny: {<<: [*x, {a: 2}]}\n",
+    "undefined-alias": "a: *x\n",
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "unhashable-key": "? [a]\n: 1\n",
+    "str-on-a-collection": "!!str [a]\n",
+    "int-on-a-float": "!!int 1.5\n",
+    "merge-of-a-scalar": "a: {<<: 1}\n",
+}
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    # PyYAML's Python composer recurses twice per nesting level.
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("text", SAME_OBJECTS.values(), ids=SAME_OBJECTS.keys())
+def test_fixed_documents_build_what_the_python_loader_builds(text):
+    ours = load(_DocumentLoader, text)
+    assert ours is not None
+    assert ours == load(PythonLoader, text)
+
+
+@pytest.mark.parametrize("text", BOTH_FAIL.values(), ids=BOTH_FAIL.keys())
+def test_fixed_documents_both_loaders_reject(text):
+    assert load(PythonLoader, text) is None
+    with pytest.raises((yaml.YAMLError, ValueError, ScenarioParseError)):
+        yaml.load(text, Loader=_DocumentLoader)
+
+
+def test_a_merged_key_given_again_is_named():
+    with pytest.raises(ScenarioParseError, match="duplicate key 'a' at line 2"):
+        yaml.load(BOTH_FAIL["merged-key-given-again"], Loader=_DocumentLoader)
+
+
+@pytest.mark.parametrize("text", ["a: !!float\n", "a: !!int ''\n", "a: !!bool ''\n", "a: !!timestamp x\n"],
+                         ids=["float", "int", "bool", "timestamp"])
+def test_a_tagged_scalar_the_constructors_cannot_read_is_a_yaml_error(text, tmp_path, capsys):
+    # PyYAML's constructors raise IndexError, KeyError or AttributeError here.
+    with pytest.raises(yaml.YAMLError, match="cannot read"):
+        yaml.load(text, Loader=_DocumentLoader)
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: document is not valid YAML") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [_MAX_DEPTH, _MAX_DEPTH + 1], ids=["at-the-limit", "past-the-limit"])
+def test_nesting_limit(depth):
+    # The root mapping and depth - 1 sequences: depth nested collections.
+    text = "a: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
+    with recursion_limit(4 * depth + 1000):
+        reference = load(PythonLoader, text)
+    assert reference is not None
+    if depth <= _MAX_DEPTH:
+        assert load(_DocumentLoader, text) == reference
+    else:
+        with pytest.raises(ScenarioParseError, match="nested too deeply"):
+            yaml.load(text, Loader=_DocumentLoader)
+
+
+VALIDATE_L1 = """name=L1
+room_m=2x2x2
+luminaires=3
+tags=outer-left,inner,outer-right
+lambertian_order[semi_angle_deg=20]=11.1434
+defaults_applied=luminaire[0].mod_index,luminaire[0].baseband_power,luminaire[1].mod_index,\
+luminaire[1].baseband_power,luminaire[2].mod_index,luminaire[2].baseband_power,detector.responsivity_a_per_w,\
+detector.bandwidth_hz,noise.background_current_a,noise.i2,noise.thermal_a2,noise.isi_a2
+"""
+
+
+def validate_stdout(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_validate_prints_the_pinned_l1_report(capsys):
+    assert validate_stdout(builtin_scenario_path("l1"), capsys) == VALIDATE_L1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_validate_prints_what_the_python_loader_gives(seed, tmp_path, capsys, monkeypatch):
+    paths = [builtin_scenario_path("l1"), builtin_scenario_path("g1")]
+    for key, text in workload_documents(seed).items():
+        paths.append(tmp_path / f"{key}.yaml")
+        paths[-1].write_text(text, encoding="utf-8")
+    ours = [validate_stdout(path, capsys) for path in paths]
+    monkeypatch.setattr(scenario, "_DocumentLoader", PythonLoader)
+    assert ours == [validate_stdout(path, capsys) for path in paths]
