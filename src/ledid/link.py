@@ -28,18 +28,20 @@ it returns is bit-identical to the scalar one:
   ``((m+1) A) cos(theta)^m cos(psi) g / ((2 pi d) d)``; elementwise these
   give the same bits as the same Python float expression. That covers the
   cosines, dot products over d, and the field-of-view test on cos(psi).
-* The one transcendental is float ``pow`` for cos(theta)^m, called on
-  Python floats for the lit pairs only, where both cosines are positive
-  (a negative base would give a complex power). numpy's ``power`` and
+* The one transcendental is the C library's ``pow`` for cos(theta)^m,
+  which float ``**`` calls too, here as ``math.pow`` on Python floats for
+  the lit pairs only, where both cosines are positive or nan (a negative
+  base would raise). numpy's ``power`` and
   ``exp`` differ from the C library in the last bit on some inputs and
   machines, so neither is used.
 * Sums over luminaires are the scalar path's ``math.fsum``, bit for bit.
   Every term is >= 0, so a point with at most two nonzero terms sums
   exactly in numpy's row sum: adding +0.0 is exact, and the one addition
   rounds once, to the correctly rounded sum fsum returns. Points with more
-  take ``math.fsum`` over their row. Neither result depends on term order
-  (``a + b == b + a``, and zeros add exactly), so mirror-symmetric
-  layouts stay exactly symmetric.
+  take an error-free extraction over the whole block that certifies that
+  sum, or else fsum (``_row_sums``: near ties, tiny or huge rows, inf and
+  nan). No result depends on term order (``a + b == b + a``, and zeros
+  add exactly), so mirror-symmetric layouts stay exactly symmetric.
 * Noise is ``total_noise_variance`` on the whole column, whose elements
   get the bits a float gets. SNR and BER are computed a column at a time
   in the operation order of ``snr`` and ``ber_bfsk``, with their 0 and
@@ -281,12 +283,9 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     scenario.check_tags(data_tag_id if per_point else (data_tag_id,))
     points = _as_points(positions)
     lamps = scenario.luminaire_arrays
-    if per_point:
-        tags = np.asarray(data_tag_id)
-        if tags.shape != (len(points),):
-            raise ParameterError(f"expected one data tag per position, got {len(tags)} for {len(points)}")
-    else:
-        data = lamps.tags == data_tag_id
+    tags = np.asarray(data_tag_id)
+    if per_point and tags.shape != (len(points),):
+        raise ParameterError(f"expected one data tag per position, got {len(tags)} for {len(points)}")
 
     # Rows h_data, received power, signal and interference, one column per position.
     sums = np.empty((4, len(points)))
@@ -294,15 +293,11 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     for start in range(0, len(points), step):
         h = luminaire_gains(scenario, points[start:start + step])
         incident, terms = _signal_terms(scenario, h)
-        if per_point:
-            # Zeros where a lamp is not the position's data tag: adding +0.0
-            # is exact, and _row_sums counts only the nonzero terms.
-            data = tags[start:start + step, None] == lamps.tags
-            rows = (np.where(data, h, 0.0), incident, np.where(data, terms, 0.0), np.where(data, 0.0, terms))
-        else:
-            rows = (h[:, data], incident, terms[:, data], terms[:, ~data])
-        for row, block in enumerate(rows):
-            sums[row, start:start + step] = _row_sums(block)
+        # Zeros where a lamp is not the position's data tag: adding +0.0 is
+        # exact, and _row_sums counts only the nonzero terms.
+        data = (tags[start:start + step, None] if per_point else tags) == lamps.tags
+        rows = (np.where(data, h, 0.0), incident, np.where(data, terms, 0.0), np.where(data, 0.0, terms))
+        sums[:, start:start + step] = _row_sums(np.concatenate(rows)).reshape(4, -1)
     h_data, received, signal, interference = sums
     with np.errstate(over="ignore"):  # a noise that overflows is inf, for _check_budget
         noise = total_noise_variance(received, scenario.detector, scenario.noise)
@@ -416,9 +411,9 @@ def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power) -> np.ndarray:
 
 
 def _float_pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # Float pow on Python floats: numpy's power may differ from it in the
-    # last bit (see the module docstring).
-    return np.fromiter(map(pow, base.tolist(), exponent.tolist()), float, len(base))
+    # The C library's pow on Python floats, as float ** calls it: numpy's
+    # power may differ from it in the last bit (see the module docstring).
+    return np.fromiter(map(math.pow, base.tolist(), exponent.tolist()), float, len(base))
 
 
 def _signal_terms(scenario: "Scenario", h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,11 +440,32 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     # _fsum_or_inf of each row of non-negative terms. A row with at most two
     # nonzero terms sums exactly in numpy: adding +0.0 is exact and one
     # addition rounds once, to the float fsum gives (inf where it overflows).
-    with np.errstate(over="ignore"):
+    # The other rows, n terms below 2**e, by error-free extraction (Rump, Ogita
+    # and Oishi 2008): with sigma = 2**(e + k), 2**k >= n + 2, the parts q =
+    # (sigma + t) - sigma sum exactly, t - q is exact and sums to within
+    # 2 n**2 2**-106 sigma, and TwoSum gives tau + rho = f + err exactly. f is
+    # fsum's sum where |err| plus that bound is under half the gap below f;
+    # the guards keep every step normal and finite. Other rows take fsum.
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = terms.sum(axis=1)
-    many = (terms != 0.0).sum(axis=1) > 2
-    if many.any():
-        sums[many] = list(map(_fsum_or_inf, terms[many].tolist()))
+        many = (terms != 0.0).sum(axis=1) > 2
+        if not many.any():
+            return sums
+        t = terms[many]
+        n = t.shape[1]
+        k = (n + 1).bit_length()
+        top = t.max(axis=1)
+        sure = (top >= 2.0 ** -800) & (top <= 2.0 ** (1000 - k))
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + k)[:, None]  # under- or overflows only outside the guards
+        q = (sigma + t) - sigma
+        tau, rho = q.sum(axis=1), (t - q).sum(axis=1)
+        f = tau + rho
+        b = f - tau
+        err = (tau - (f - b)) + (rho - b)
+        sure &= np.abs(err) + 2.0 * n * n * 2.0 ** -106 * sigma[:, 0] < (f - np.nextafter(f, 0.0)) / 2
+    if not sure.all():
+        f[~sure] = list(map(_fsum_or_inf, t[~sure].tolist()))
+    sums[many] = f
     return sums
 
 

@@ -309,6 +309,8 @@ _MAX_DEPTH = 500
 # What an open collection reads next: an item, a key, or the value of a
 # merge key `<<` (which _MERGE also stands for in anchors).
 _ITEM, _KEY, _MERGE = object(), object(), object()
+# Immutable scalar values, which repeated scalars of a document may share.
+_PLAIN = (str, int, float, bool, type(None))
 
 
 class _DocumentLoader(CParser, SafeConstructor, Resolver):
@@ -339,6 +341,7 @@ class _DocumentLoader(CParser, SafeConstructor, Resolver):
 
     def _document(self):
         get_event, anchors = self.get_event, {}
+        memo = {}  # plain values by (tag, text, implicit, at_key): keys and numbers repeat
         # Per open collection: [container, _ITEM, _KEY, _MERGE or the key whose
         # value comes next, the pairs merged so far, the mark of the last key].
         stack = []
@@ -360,7 +363,10 @@ class _DocumentLoader(CParser, SafeConstructor, Resolver):
                     value.update(merged)
             else:
                 if kind is ScalarEvent:
-                    value = self._scalar(event, at_key)
+                    key = (event.tag, event.value, event.implicit, at_key)
+                    value = memo[key] if key in memo else self._scalar(event, at_key)
+                    if type(value) in _PLAIN:
+                        memo[key] = value
                 else:
                     if len(stack) == _MAX_DEPTH:
                         raise ScenarioParseError("document is nested too deeply")

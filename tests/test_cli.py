@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import resource
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_documents import workload_documents
 import ledid
 from ledid import builtin_scenario_path
 from ledid.cli import main
@@ -239,6 +241,31 @@ class TestGrid:
         missing_dir = tmp_path / "not" / "here" / "x.csv"
         assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30",
                      "--res", "4", "--out", str(missing_dir)]) == 1
+
+
+class TestDenseCeilings:
+    """Outputs whose cells each sum dozens of lit lamps, pinned to the bytes
+    they had when every such sum went through math.fsum row by row: the
+    benchmark's seed-1 ceilings, 8 x 8 for grids and 16 x 16 for resolve."""
+
+    @pytest.mark.parametrize("tag, digest", [
+        ("t08", "2b0daf611c2f2dbae03da678f79819e9272f2303847f70147a4b1bba94d88240"),
+        ("t15", "18bf3003d86640745f91cba3d601687b97b9137a80399a30c13afcc5caee75b5"),
+    ])
+    def test_grid_csv_bytes(self, tmp_path, capsys, tag, digest):
+        doc, out = tmp_path / "ceiling8.yaml", tmp_path / "grid.csv"
+        doc.write_text(workload_documents(1)["ceiling8"], encoding="utf-8")
+        assert main(["grid", str(doc), "--tag", tag, "--plane-cm", "120", "--res", "32", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_resolve_report(self, tmp_path, capsys):
+        doc = tmp_path / "ceiling16.yaml"
+        doc.write_text(workload_documents(1)["ceiling16"], encoding="utf-8")
+        assert main(["resolve", str(doc), "--plane-cm", "100"]) == 0
+        report = capsys.readouterr().out
+        assert report.count("\ntag=") == 64
+        assert (hashlib.sha256(report.encode("ascii")).hexdigest()
+                == "5972574da0cd8f38baf3eeba65c3bec2cfb613d88616b8bbcd33012ac1db5ce4")
 
 
 class TestSweep:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from bench_documents import workload_documents
 from ledid import (
     DetectorModel,
     EmitterModel,
@@ -39,7 +41,7 @@ from ledid import (
     scenario_critical_distance,
     snr,
 )
-from ledid import link
+from ledid import link, load_scenario
 from ledid.analysis import foot_bers
 
 DOWN = Vec3(0.0, 0.0, -1.0)
@@ -453,6 +455,32 @@ terms = st.one_of(st.sampled_from(TERM_VALUES), st.floats(0.0))
 sparse_terms = st.one_of(st.just(0.0), st.just(0.0), terms)
 
 
+@st.composite
+def wide_rows(draw):
+    """One to three rows of 3 to 400 terms around one drawn binary exponent,
+    from subnormal to near the largest float. Either every term has its own
+    random mantissa, or each row repeats one value (zero or one of a few
+    drawn values) with zeros, repeats and other magnitudes in between. Now
+    and then a row holds an inf, a nan or the largest float."""
+    count, width = draw(st.integers(1, 3)), draw(st.integers(3, 400))
+    center = draw(st.integers(-1074, 1023))
+    spread = draw(st.sampled_from((0, 1, 8, 60)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        exponents = np.clip(center + rng.integers(-spread, spread + 1, (count, width)), -1074, 1023)
+        rows = np.ldexp(rng.uniform(0.5, 1.0, (count, width)), exponents).tolist()
+    else:
+        magnitude = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                              st.integers(-spread, spread).map(lambda e: min(max(center + e, -1074), 1023)))
+        pool = draw(st.lists(magnitude, min_size=1, max_size=4))
+        rows = draw(arrays(float, (count, width), elements=st.one_of(st.just(0.0), st.sampled_from(pool), magnitude),
+                           fill=st.one_of(st.just(0.0), st.sampled_from(pool)))).tolist()
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, width - 1))] = draw(st.sampled_from((math.inf, math.nan, 1.7976931348623157e308)))
+    return rows
+
+
 class TestColumnReductions:
     """Whole-column sums, SNR and BER against their per-element references."""
 
@@ -464,6 +492,38 @@ class TestColumnReductions:
     @example([[0.0] * 4, [0.1, 0.0, 0.2, 0.0], [0.0, 0.0, 0.3, 0.0], [0.1, 0.2, 0.3, 1e16]])
     def test_row_sums_are_fsum_bit_for_bit(self, rows):
         assert bits(link._row_sums(np.array(rows, dtype=float))) == bits(map(fsum_or_inf, rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_rows())
+    # Half-ulp ties near 1: just above one, exactly one (to even, down and
+    # up), and two decided by terms that the low parts' float sum loses.
+    @example([[1.0, 2.0 ** -53, 2.0 ** -80, 0.0, 0.0, 0.0, 0.0], [1.0, 2.0 ** -54, 0.0, 2.0 ** -54, 0.0, 0.0, 0.0],
+              [1.0 + 2.0 ** -52, 2.0 ** -54, 2.0 ** -54, 0.0, 0.0, 0.0, 0.0],
+              [1.0, 2.0 ** -53, 2.0 ** -106, 2.0 ** -106, 0.0, 0.0, 0.0],
+              [1.0, 2.0 ** -51, 2.0 ** -53, 2.0 ** -110, 0.0, 0.0, 0.0],
+              [1.0, 2.0 ** -51 + 2.0 ** -53 - 2.0 ** -103] + [2.0 ** -105] * 5])
+    @example([[5e-324] * 400, [1e-310, 2.2250738585072009e-308, 5e-324] * 133 + [0.0]])
+    # At the guards for three terms (2**k = 8) and just outside them.
+    @example([[2.0 ** 997] * 3, [math.nextafter(2.0 ** 997, math.inf)] * 3,
+              [2.0 ** -800] * 3, [math.nextafter(2.0 ** -800, 0.0)] * 3])
+    @example([[0.1] * 400, [2.0 ** 991] * 400, [math.nextafter(2.0 ** 991, math.inf)] + [1.0] * 399])
+    @example([[1e308] * 3, [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0], [1.7976931348623157e308, 1e292, 1e292]])
+    def test_wide_row_sums_are_fsum_bit_for_bit(self, rows):
+        assert bits(link._row_sums(np.array(rows, dtype=float))) == bits(map(fsum_or_inf, rows))
+
+    def test_a_dense_ceiling_rarely_falls_back_to_fsum(self, monkeypatch):
+        # Nearly every cell of the benchmark's 8 x 8 ceiling at 120 cm sums
+        # dozens of lit lamps; the extraction must certify most of those rows.
+        scenario = load_scenario(workload_documents(1)["ceiling8"])
+        wide, fallbacks = [], []
+        row_sums, fsum = link._row_sums, link._fsum_or_inf
+        monkeypatch.setattr(link, "_row_sums", lambda terms: wide.append(
+            int((np.count_nonzero(terms, axis=1) > 2).sum())) or row_sums(terms))
+        monkeypatch.setattr(link, "_fsum_or_inf", lambda row: fallbacks.append(row) or fsum(row))
+        for tag in ("t08", "t15"):
+            evaluate_grid(scenario, GridSpec.for_room(scenario.room, 1.2, 32), tag)
+        assert sum(wide) > 4 * 32 * 32
+        assert len(fallbacks) < 0.1 * sum(wide)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(*[st.one_of(st.sampled_from((0.0, 5e-324, 1e-310, 1e308)),
