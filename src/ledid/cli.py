@@ -184,11 +184,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     scenario = _load_for_grids(args)
     spec = _grid_spec(scenario, args.plane_cm, args.res)
     grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
+    # Lines are printed after every write, so none names a file a later failure left unwritten.
     write_grid_csv(grid, args.out)
-    print(f"csv={args.out} cells={args.res}x{args.res}")
+    lines = [f"csv={args.out} cells={args.res}x{args.res}"]
     if args.heatmap is not None:
         write_grid_pgm(grid, args.heatmap)
-        print(f"pgm={args.heatmap}")
+        lines.append(f"pgm={args.heatmap}")
+    print("\n".join(lines))
     return 0
 
 
@@ -213,9 +215,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         planes.append((grid, csv_path, f"plane_cm={plane_cm:g} csv={csv_path} min_ber={min(bers)!r} "
                                        f"median_ber={statistics.median(bers)!r}"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for grid, csv_path, summary in planes:
+    for grid, csv_path, _ in planes:
         write_grid_csv(grid, csv_path)
-        print(summary)
+    print("\n".join(summary for *_, summary in planes))
     return 0
 
 

@@ -242,6 +242,45 @@ class TestGrid:
         assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30",
                      "--res", "4", "--out", str(missing_dir)]) == 1
 
+    def test_unwritable_heatmap_prints_no_line(self, tmp_path, capsys):
+        # The CSV can be written, the graymap cannot: no line may name either.
+        assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "4",
+                     "--out", str(tmp_path / "x.csv"), "--heatmap", str(tmp_path / "nodir" / "x.pgm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.count("error:") == 1
+
+
+class TestBenchmarkSizes:
+    """The shipped scenarios at the benchmark's sizes (G1 grids at res 72 and
+    40 cm, L1 sweeps at res 48), pinned to the bytes they had when every
+    value was formatted cell by cell."""
+
+    @pytest.mark.parametrize("tag, csv_digest, pgm_digest", [
+        ("n", "f5efe056e18d237b6514daa19a1fd709303f89e81bf1dfeaa11328db05b3ed80",
+         "9b48a8070c0ac8c2b6815273d90ac6ba66a38ff9586965840862068dfb04f154"),
+        ("center", "d94d001fb34c5f13f7f35d0c805d459f821c98e583db9e12a1449606f0667a50",
+         "59ab0170270bc65e0c88e005396d04dbfc64f86fe953530658ff413a8c9d78ad"),
+    ])
+    def test_g1_grid_and_heatmap(self, tmp_path, capsys, tag, csv_digest, pgm_digest):
+        csv_path, pgm_path = tmp_path / "grid.csv", tmp_path / "grid.pgm"
+        assert main(["grid", G1_PATH, "--tag", tag, "--plane-cm", "40", "--res", "72",
+                     "--out", str(csv_path), "--heatmap", str(pgm_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(pgm_path.read_bytes()).hexdigest() == pgm_digest
+
+    def test_l1_sweep(self, tmp_path, capsys):
+        assert main(["sweep", L1_PATH, "--tag", "outer-left", "--planes-cm", "30,40,50", "--res", "48",
+                     "--out", str(tmp_path)]) == 0
+        digests = {cm: hashlib.sha256((tmp_path / f"outer-left_plane{cm}cm.csv").read_bytes()).hexdigest()
+                   for cm in (30, 40, 50)}
+        assert digests == {
+            30: "db1a89303f02be67512c43421130c64bce2a0c028664e7ca9890c87cf4099690",
+            40: "1379fd0fb5428a98b3f0b8cda93f62cebab45866fbc5f98684bae70c81140ab3",
+            50: "b993269f8edc3f4c8a50ca35d1cf0735471aa4556c559a9f47969ffe75c6e655",
+        }
+
 
 class TestDenseCeilings:
     """Outputs whose cells each sum dozens of lit lamps, pinned to the bytes
@@ -323,6 +362,17 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_unwritable_later_plane_prints_no_line(self, tmp_path, capsys):
+        # A directory sits where the second plane's CSV goes; the first CSV is written.
+        out = tmp_path / "sweep"
+        (out / "inner_plane40cm.csv").mkdir(parents=True)
+        assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm", "30,40", "--res", "4",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.count("error:") == 1
 
     def test_g1_center_smoke(self, tmp_path, capsys):
         assert main(["sweep", G1_PATH, "--tag", "center", "--planes-cm", "30",

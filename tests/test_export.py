@@ -1,17 +1,20 @@
 """CSV and graymap export against a row-by-row reference renderer.
 
-The exporters render whole columns at once; the references below render
-one cell at a time, with ``repr`` per value and ``round`` per pixel, and
-must give the same text on any grid.
+The exporters render whole columns at once, formatting each distinct
+64-bit value once; the references below render one cell at a time, with
+``repr`` per value and ``round`` per pixel, and must give the same text on
+any grid.
 """
 
 import math
+import struct
 from array import array
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ledid import GridSpec, builtin_l1
+from ledid import GridSpec, builtin_l1, export
 from ledid.export import CSV_HEADER, grid_csv_text, grid_pgm_text
 from ledid.link import LinkColumns
 from ledid.scenario import BerGrid
@@ -68,6 +71,66 @@ def grids(draw):
         columns=LinkColumns(*column, ber),
         scenario=L1,
     )
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# A few values, so cells repeat them within and across columns. The signed
+# zeros compare equal, and the NaNs (payloads 0, 1 and a negative one) are
+# all 'nan', yet each has its own bits. repr switches to exponent form
+# below 1e-4 and from 1e16; 5e-324 and 1e-310 are subnormal.
+BER_POOL = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e-4, 0.25,
+            0.5011872336272722, 1.0, 9999999999999998.0, 1e16)
+POOL = (*BER_POOL, -1e-5, math.inf, -math.inf,
+        _nan(0x7FF8000000000000), _nan(0x7FF8000000000001), _nan(0xFFF80000DEADBEEF))
+
+
+@st.composite
+def pooled_grids(draw):
+    """Grids whose six columns draw from ``POOL``; error rates, which the
+    graymap reference takes as probabilities, from its finite part."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = width * height
+    column = [array("d", draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))) for _ in range(6)]
+    ber = array("d", draw(st.lists(st.sampled_from(BER_POOL), min_size=n, max_size=n)))
+    return BerGrid(SPEC, "inner", tuple(map(float, range(width))), tuple(map(float, range(height))),
+                   LinkColumns(*column, ber), L1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_grids())
+def test_repeated_values_render_as_the_row_by_row_renderer(grid):
+    assert grid_csv_text(grid) == reference_csv(grid)
+    assert grid_pgm_text(grid) == reference_pgm(grid)
+
+
+def test_all_zero_error_rates():
+    # No positive error rate: the graymap takes log10 of an empty column.
+    zeros = array("d", [0.0, -0.0, 0.0, 0.0, -0.0, 0.0])
+    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 7), L1)
+    assert grid_csv_text(grid) == reference_csv(grid)
+    assert grid_pgm_text(grid) == reference_pgm(grid)
+    assert grid_pgm_text(grid).endswith("\n0 0 0\n0 0 0\n")
+
+
+def test_keying_on_float_values_fails_the_property(monkeypatch):
+    # The same dedupe keyed on float64 values, not bits, renders one of
+    # 0.0 and -0.0 as the other.
+    def per_distinct_value(function, values):
+        unique, inverse = np.unique(values.reshape(-1), return_inverse=True)
+        results = np.empty(len(unique), dtype=object)
+        results[:] = list(map(function, unique.tolist()))
+        return results[inverse.reshape(values.shape)]
+
+    monkeypatch.setattr(export, "_per_distinct", per_distinct_value)
+    grid = find(pooled_grids(), lambda grid: grid_csv_text(grid) != reference_csv(grid),
+                settings=settings(max_examples=500, database=None))
+    c = grid.columns
+    values = {struct.pack("<d", v) for v in (*c.h_data, *c.signal_ms_a2, *c.interference_ms_a2,
+                                             *c.noise_variance_a2, *c.snr, *c.ber)}
+    assert {struct.pack("<d", 0.0), struct.pack("<d", -0.0)} <= values
 
 
 @settings(max_examples=150, deadline=None)
