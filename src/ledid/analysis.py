@@ -17,12 +17,14 @@ interferer, or a second lamp of the same tag whose beam crosses the ray
 further down and lights it up again. So every layout, a lone lamp
 included, answers from one search: a ladder of 1 cm steps out to 100 m,
 whose last passing step is refined by bisection; when the last step still
-passes, bracketing and bisection go on from 100 m. The ladder is bounded
+passes, bracketing doubles out from 100 m (first probe 200 m) before the
+bisection. The ladder is bounded
 run by run (interval branch and bound): ``link.segments_may_pass`` rules
 out each run whose SNR bound stays below the threshold's, any other run is
 split in eight, and the steps of the runs left go through
-``evaluate_points`` in one batch, so only the steps that might pass are
-evaluated and the answer equals the full ladder's. Each bisection call to
+``evaluate_points`` in one batch, step 1 always among them, so only the
+steps that might pass are evaluated, each once, and the answer equals the
+full ladder's; a failing step 1 gives 0. Each bisection call to
 ``evaluate_points`` takes the midpoints of the next three halvings; the
 link model, the bound included, lives in ``link`` alone, and this module
 only searches. A probe that lands on a luminaire has no link budget and
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import lambertian_order
 from .errors import GeometryError, ParameterError
 from .geometry import Vec3
 from .link import _BLOCK_PAIRS, evaluate_points, segments_may_pass
@@ -96,9 +99,13 @@ def critical_overlap_distance(spacing_m: float, semi_angle_deg: float) -> float:
     """
     if not spacing_m > 0.0:
         raise ParameterError(f"spacing must be positive, got {spacing_m}")
-    if not 0.0 < semi_angle_deg < 90.0:
-        raise ParameterError(f"semi-angle must be in (0, 90) degrees, got {semi_angle_deg}")
+    lambertian_order(semi_angle_deg)  # the one semi-angle rule: ParameterError outside (0, 90)
     return spacing_m / math.tan(math.radians(semi_angle_deg))
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
 
 
 def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float = 1e-2) -> ResolvabilityReport:
@@ -107,8 +114,7 @@ def resolvability(scenario: Scenario, plane_distance_m: float, threshold: float 
     A tag with several luminaires is scored by the best (lowest) of its
     per-lamp error rates.
     """
-    if not 0.0 < threshold:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     z = scenario.room.plane_z(plane_distance_m)
     lamps = scenario.luminaire_arrays
     feet = np.column_stack((lamps.tx[:, 0], lamps.tx[:, 1], np.full(len(lamps.tx), z)))
@@ -173,8 +179,7 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     only the signal's own shot noise limits the distance (to 52,017 m for
     an L1 lamp at 1e-2).
     """
-    if not 0.0 < threshold:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     if not 0.0 < angle_distance_fraction <= 1.0:
         raise ParameterError(
             f"angle distance fraction must be in (0, 1], got {angle_distance_fraction}")
@@ -212,13 +217,21 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     def distances_pass(distances) -> np.ndarray:
         return passes(probes(distances))
 
-    if not distances_pass([_SCAN_STEP_M])[0]:
-        return CoverageReport(tag_id, 0.0, 0.0, threshold)
     # Interference can make the error rate dip and rise along the ray, so
-    # refine the ladder's last passing step (step 1 has passed). Past the
-    # ladder's end every lamp is far off, and bracketing goes on from it.
+    # refine the ladder's last passing step. Past the ladder's end every
+    # lamp is far off, and bracketing goes on from it.
     steps = _ladder_candidates(scenario, tag_id, probes, threshold)
-    last = int(steps[distances_pass(steps * _SCAN_STEP_M)][-1])
+    try:
+        passing = distances_pass(steps * _SCAN_STEP_M)
+    except ParameterError:
+        # A failing step 1 answers 0 even where a later step's budget
+        # overflows; step 1 alone raises its own overflow, as the batch would.
+        if not distances_pass([_SCAN_STEP_M])[0]:
+            return CoverageReport(tag_id, 0.0, 0.0, threshold)
+        raise
+    if not passing[0]:  # step 1
+        return CoverageReport(tag_id, 0.0, 0.0, threshold)
+    last = int(steps[passing][-1])
     if last == _SCAN_STEPS:
         distance = _bracket_and_bisect(distances_pass, _SCAN_CAP_M)
     else:
@@ -263,9 +276,9 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
 
 
 def _bracket_and_bisect(passes, lo: float) -> float:
-    # Monotone case: double out from lo to the first failure, then bisect
-    # to 1 mm. passes maps a list of distances to whether each passes.
-    hi = lo
+    # Monotone case: lo passes; double out from it to the first failure,
+    # then bisect to 1 mm. passes maps a list of distances to whether each passes.
+    hi = 2.0 * lo
     while passes([hi])[0]:
         lo = hi
         hi *= 2.0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, check_positive_finite
 from .geometry import Pose
 
 
@@ -47,8 +47,7 @@ class EmitterModel:
     lambertian_order: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.power_w > 0.0 and math.isfinite(self.power_w)):
-            raise ParameterError(f"power_w: must be positive and finite, got {self.power_w}")
+        check_positive_finite(self, "power_w")
         object.__setattr__(self, "lambertian_order", lambertian_order(self.semi_angle_deg))
 
     @classmethod
@@ -79,10 +78,7 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.fov_deg <= 90.0:
             raise ParameterError(f"fov_deg: must be in (0, 90] degrees, got {self.fov_deg}")
-        for name in ("area_m2", "gain", "responsivity_a_per_w", "bandwidth_hz"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name}: must be positive and finite, got {value}")
+        check_positive_finite(self, "area_m2", "gain", "responsivity_a_per_w", "bandwidth_hz")
         object.__setattr__(self, "cos_fov", math.cos(math.radians(self.fov_deg)))
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import coverage, foot_bers, resolvability
+from .channel import lambertian_order
 from .errors import LedIdError
 from .export import write_grid_csv, write_grid_pgm
 from .oracle import agreement_report
@@ -142,9 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"luminaires={len(scenario.luminaires)}")
     print(f"tags={','.join(scenario.tags())}")
     for semi in sorted({lum.emitter.semi_angle_deg for lum in scenario.luminaires}):
-        order = next(lum.emitter.lambertian_order for lum in scenario.luminaires
-                     if lum.emitter.semi_angle_deg == semi)
-        print(f"lambertian_order[semi_angle_deg={semi:g}]={order:.4f}")
+        print(f"lambertian_order[semi_angle_deg={semi:g}]={lambertian_order(semi):.4f}")
     print(f"defaults_applied={','.join(applied) if applied else '(none)'}")
     return 0
 
@@ -182,6 +181,9 @@ def _grid_spec(scenario: Scenario, plane_cm: float, res: int) -> GridSpec:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     scenario = _load_for_grids(args)
+    # realpath is Path.resolve that takes a symlink loop as it stands, with no RuntimeError.
+    if args.heatmap is not None and os.path.realpath(args.out) == os.path.realpath(args.heatmap):
+        raise _UsageError(f"--heatmap: --out and --heatmap would both write {args.heatmap}")
     spec = _grid_spec(scenario, args.plane_cm, args.res)
     grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
     # Lines are printed after every write, so none names a file a later failure left unwritten.
@@ -221,15 +223,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distance(value: float) -> str:
+    return "unbounded" if math.isinf(value) else repr(value)
+
+
 def _cmd_coverage(args: argparse.Namespace) -> int:
     scenario, _ = _load(args.scenario)
     report = coverage(scenario, args.tag, threshold=_positive("--threshold", args.threshold))
     print(f"tag={report.tag_id}")
     print(f"threshold_ber={report.threshold_ber!r}")
-    if math.isinf(report.max_reliable_distance_m):
-        print("max_reliable_distance_m=unbounded")
-    else:
-        print(f"max_reliable_distance_m={report.max_reliable_distance_m!r}")
+    print(f"max_reliable_distance_m={_distance(report.max_reliable_distance_m)}")
     print(f"max_reliable_angle_deg={report.max_reliable_angle_deg!r}")
     return 0
 
@@ -243,10 +246,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     for entry in report.tags:
         flag = "yes" if entry.resolvable else "no"
         print(f"tag={entry.tag_id} min_ber_under_lamp={entry.min_ber_under_lamp!r} resolvable={flag}")
-    if math.isinf(report.critical_overlap_distance_m):
-        print("critical_overlap_distance_m=unbounded")
-    else:
-        print(f"critical_overlap_distance_m={report.critical_overlap_distance_m!r}")
+    print(f"critical_overlap_distance_m={_distance(report.critical_overlap_distance_m)}")
     return 0
 
 

@@ -4,7 +4,9 @@ Numbers are written with Python's shortest round-trip representation, a
 '.' decimal separator and LF line endings, so identical grids always
 serialize to identical bytes. The graymap encodes log10(BER) linearly
 from the window [-8, -0.3] onto [0, 255] (clamped), covering the range of
-error rates these scenarios produce; zero BER maps to black.
+error rates these scenarios produce; zero BER maps to black. The model
+gives no other rate outside (0, 1], but a hand-built grid may: NaN, -inf
+and -0.0 are not positive and map to black too, and +inf maps to white.
 
 Grids repeat values heavily, so each distinct 64-bit value is formatted
 once, not once per cell; ``repr`` and ``log10`` are pure functions of a

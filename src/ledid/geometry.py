@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, ParameterError
 
-_AXIS_TOL = 1e-9
+AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Pose:
 
     def __post_init__(self) -> None:
         n = self.axis.norm()
-        if abs(n - 1.0) > _AXIS_TOL:
+        if abs(n - 1.0) > AXIS_TOL:
             raise ParameterError(f"pose axis must be unit length, |axis| = {n}")
 
     @classmethod

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import DetectorModel, EmitterModel, channel_gain
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, check_positive_finite
 from .geometry import Pose, Vec3
 from .noise import total_noise_variance
 
@@ -100,8 +100,7 @@ class ModulationParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.mod_index <= 1.0:
             raise ParameterError(f"mod_index: must be in (0, 1], got {self.mod_index}")
-        if not (self.baseband_power > 0.0 and math.isfinite(self.baseband_power)):
-            raise ParameterError(f"baseband_power: must be positive and finite, got {self.baseband_power}")
+        check_positive_finite(self, "baseband_power")
 
 
 @dataclass(frozen=True)

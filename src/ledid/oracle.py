@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .link import ber_bfsk
 
 _BATCH_TRIALS = 1 << 20
 
@@ -125,7 +126,7 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
     configs = [McConfig(snr=snr, trials=trials, seed=seed) for snr in snr_values]
     points = []
     for config, errors in zip(configs, _error_counts(snr_values, trials, seed)):
-        analytic = 0.5 * math.exp(-0.5 * config.snr)
+        analytic = ber_bfsk(config.snr)
         estimate, std_error = _estimate(errors, trials)
         ok = abs(estimate - analytic) <= 3.0 * std_error
         points.append(AgreementPoint(config.snr, analytic, estimate, std_error, ok))

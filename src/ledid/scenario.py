@@ -50,8 +50,8 @@ from yaml.resolver import Resolver
 
 from .channel import DetectorModel, EmitterModel
 from .errors import (ParameterError, PlaneOutsideRoomError, ScenarioParseError, ScenarioValidationError,
-                     TagNotFoundError)
-from .geometry import Pose, Vec3
+                     TagNotFoundError, check_positive_finite)
+from .geometry import AXIS_TOL, Pose, Vec3
 from .link import LinkBudget, LinkColumns, LuminaireArrays, ModulationParams, evaluate_points, luminaire_gains
 from .noise import NoiseParams
 
@@ -71,10 +71,7 @@ class Room:
     height_m: float
 
     def __post_init__(self) -> None:
-        for name in ("width_m", "depth_m", "height_m"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{name}: must be positive and finite, got {value}")
+        check_positive_finite(self, "width_m", "depth_m", "height_m")
 
     def contains(self, point: Vec3) -> bool:
         return (
@@ -127,7 +124,7 @@ class Scenario:
             if not self.room.contains(lum.pose.position):
                 raise ScenarioValidationError(
                     f"luminaire[{i}]: position must lie inside the room volume")
-        if abs(self.receiver_axis.norm() - 1.0) > 1e-9:
+        if abs(self.receiver_axis.norm() - 1.0) > AXIS_TOL:
             raise ScenarioValidationError("receiver axis must be a unit vector")
 
     @cached_property
@@ -136,22 +133,19 @@ class Scenario:
         return LuminaireArrays.of(self.luminaires)
 
     @cached_property
-    def tag_set(self) -> frozenset[str]:
-        """The tags the luminaires carry, built on first use."""
-        return frozenset(lum.tag for lum in self.luminaires)
+    def _tag_index(self) -> dict[str, None]:
+        """The distinct tags the luminaires carry, in first-appearance order, built on first use."""
+        return dict.fromkeys(lum.tag for lum in self.luminaires)
 
     def check_tags(self, tag_ids) -> None:
         """Raise TagNotFoundError for the first of ``tag_ids`` that no luminaire carries."""
-        if not self.tag_set.issuperset(tag_ids):
-            unknown = next(tag for tag in tag_ids if tag not in self.tag_set)
+        if not self._tag_index.keys() >= set(tag_ids):
+            unknown = next(tag for tag in tag_ids if tag not in self._tag_index)
             raise TagNotFoundError(f"no luminaire carries tag {unknown!r}")
 
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for lum in self.luminaires:
-            seen.setdefault(lum.tag, None)
-        return tuple(seen)
+        return tuple(self._tag_index)
 
     def luminaires_for(self, tag_id: str) -> tuple[Luminaire, ...]:
         self.check_tags((tag_id,))
@@ -210,7 +204,7 @@ class BerGrid:
     @cached_property
     def cells(self) -> tuple[tuple[LinkBudget, ...], ...]:
         z = self.scenario.room.plane_z(self.spec.plane_distance_m)
-        tags = [lum.tag for lum in self.scenario.luminaires]
+        tags = self.scenario.luminaire_arrays.tags.tolist()
         c = self.columns
         rows = []
         for iy, y in enumerate(self.y_centers_m):

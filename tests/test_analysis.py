@@ -83,6 +83,10 @@ class TestCriticalOverlap:
         with pytest.raises(ParameterError):
             critical_overlap_distance(0.0, 20.0)
 
+    def test_semi_angle_rule_is_the_emitters(self):
+        with pytest.raises(ParameterError, match=r"^semi_angle_deg: must be in \(0, 90\) degrees, got 95.0$"):
+            critical_overlap_distance(0.16, 95.0)
+
     def test_linear_in_spacing(self):
         for spacing in (0.05, 0.16, 0.73):
             assert critical_overlap_distance(2.0 * spacing, 20.0) == \
@@ -135,6 +139,10 @@ class TestResolvability:
             resolvability(builtin_l1(), 0.0)
         with pytest.raises(ParameterError):
             resolvability(builtin_l1(), 2.5)
+
+    def test_threshold_must_be_positive(self):
+        with pytest.raises(ParameterError, match=r"^threshold must be positive, got 0.0$"):
+            resolvability(builtin_l1(), 0.3, threshold=0.0)
 
 
 def per_tag_resolvability(scenario, plane_m, threshold=1e-2):
@@ -254,6 +262,76 @@ class TestCoverage:
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
             coverage(builtin_l1(), "inner", threshold=0.0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_angle_distance_fraction_validation(self, fraction):
+        with pytest.raises(ParameterError,
+                           match=rf"^angle distance fraction must be in \(0, 1\], got {fraction}$"):
+            coverage(builtin_l1(), "inner", angle_distance_fraction=fraction)
+
+    def test_right_angle_probe_that_passes(self):
+        # A second lamp of the tag, 0.8 m aside and 1 m higher, lights the
+        # point 90 degrees off the first lamp's axis at half the distance.
+        lamps = (Luminaire("a", Pose(Vec3(0.0, 0.0, 2.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=30.0)),
+                 Luminaire("a", Pose(Vec3(0.8, 0.0, 3.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=30.0)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET,
+                            noise=NoiseParams(background_current_a=5e-4, thermal_a2=5e-12))
+        report = coverage(scenario, "a")
+        assert (report.max_reliable_distance_m, report.max_reliable_angle_deg) == (2.84625, 90.0)
+
+
+class KernelCalls:
+    """Stand-in for ``evaluate_points`` in ``analysis`` that records every position it is given."""
+
+    def __init__(self):
+        self.positions = []
+
+    def __call__(self, scenario, positions, tag_id):
+        self.positions.append(np.asarray(positions, dtype=float))
+        return evaluate_points(scenario, positions, tag_id)
+
+
+class TestProbesEvaluatedOnce:
+    """A coverage query evaluates each probe once: ladder step 1 only in the ladder's
+    batch, and a ray read past the ladder's end brackets from 200 m, not 100 m again."""
+
+    def test_l1_query_takes_eight_kernel_calls(self, monkeypatch):
+        calls = KernelCalls()
+        monkeypatch.setattr(analysis, "evaluate_points", calls)
+        coverage(builtin_l1(), "inner")
+        assert len(calls.positions) == 8
+
+    @pytest.mark.parametrize("scenario, tag", [
+        (builtin_l1(), "inner"),
+        # A lone lamp with little noise reads to about 1.8 km.
+        (single_lamp_scenario(NoiseParams(thermal_a2=1e-22)), "solo"),
+    ], ids=["l1", "past-the-ladder"])
+    def test_no_position_is_evaluated_twice(self, monkeypatch, scenario, tag):
+        calls = KernelCalls()
+        monkeypatch.setattr(analysis, "evaluate_points", calls)
+        coverage(scenario, tag)
+        positions = np.concatenate(calls.positions)
+        assert len(np.unique(positions, axis=0)) == len(positions)
+
+    def test_failing_step_one_reads_zero_past_an_overflowing_step(self):
+        # The noise fails step 1; a 1e160 W interferer aimed across the ray
+        # overflows the budget of ladder steps further down.
+        lamps = (Luminaire("t", Pose(Vec3(0.0, 0.0, 3.0), DOWN), EmitterModel(power_w=1.0, semi_angle_deg=20.0)),
+                 Luminaire("x", Pose.aimed(Vec3(1.5, 0.0, 3.0), Vec3(-1.5, 0.0, 1.0)),
+                           EmitterModel(power_w=1e160, semi_angle_deg=20.0)))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=lamps, detector=DET,
+                            noise=NoiseParams(thermal_a2=1e3))
+        with pytest.raises(ParameterError, match="interference is not finite"):
+            evaluate_points(scenario, [(0.0, 0.0, 3.0 - 0.01 * step) for step in range(1, 200)], "t")
+        report = coverage(scenario, "t")
+        assert (report.max_reliable_distance_m, report.max_reliable_angle_deg) == (0.0, 0.0)
+
+    def test_overflow_at_step_one_is_named(self):
+        lamp = Luminaire("solo", Pose(Vec3(0.0, 0.0, 2.0), DOWN), EmitterModel(power_w=1e160, semi_angle_deg=20.0))
+        scenario = Scenario(room=Room(2.0, 2.0, 2.0), luminaires=(lamp,), detector=DET,
+                            noise=NoiseParams(thermal_a2=1e-7))
+        with pytest.raises(ParameterError, match="^link budget overflows: signal is not finite"):
+            coverage(scenario, "solo")
 
 
 class TestProbeOnALamp:

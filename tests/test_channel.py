@@ -43,6 +43,10 @@ class TestLambertianOrder:
         with pytest.raises(ParameterError):
             lambertian_order(bad)
 
+    def test_from_order_needs_a_positive_order(self):
+        with pytest.raises(ParameterError, match="^Lambertian order must be positive, got 0.0$"):
+            EmitterModel.from_order(1.0, 0.0)
+
     def test_from_order_round_trips(self):
         emitter = EmitterModel.from_order(2.0, 11.14)
         assert emitter.lambertian_order == pytest.approx(11.14, rel=1e-12)

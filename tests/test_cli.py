@@ -251,6 +251,19 @@ class TestGrid:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.err.count("error:") == 1
 
+    @pytest.mark.parametrize("out, heatmap", [("x.out", "./x.out"), ("x.out", "sub/../x.out"),
+                                              ("loop", "loop")], ids=["same", "dotdot", "symlink-loop"])
+    def test_out_and_heatmap_naming_one_file_are_a_usage_error(self, tmp_path, capsys, monkeypatch, out, heatmap):
+        # Checked before anything is evaluated or written, as sweep checks its file names.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop").symlink_to("loop")
+        assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "4",
+                     "--out", out, "--heatmap", heatmap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --heatmap: --out and --heatmap would both write {heatmap}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
 
 class TestBenchmarkSizes:
     """The shipped scenarios at the benchmark's sizes (G1 grids at res 72 and
@@ -305,6 +318,25 @@ class TestDenseCeilings:
         assert report.count("\ntag=") == 64
         assert (hashlib.sha256(report.encode("ascii")).hexdigest()
                 == "5972574da0cd8f38baf3eeba65c3bec2cfb613d88616b8bbcd33012ac1db5ce4")
+
+    def test_validate_report(self, tmp_path, capsys):
+        # One lambertian_order line per distinct semi-angle, 235 of them.
+        doc = tmp_path / "ceiling16.yaml"
+        doc.write_text(workload_documents(1)["ceiling16"], encoding="utf-8")
+        assert main(["validate", str(doc)]) == 0
+        report = capsys.readouterr().out
+        assert report.count("\nlambertian_order[") == 235
+        assert (hashlib.sha256(report.encode("ascii")).hexdigest()
+                == "20ec7369d6c3e3132a7ed444efb6708fd88e886bc57e6500c112c9020a5fc7ce")
+
+    def test_resolve_report_of_one_lamp(self, tmp_path, capsys):
+        # The benchmark's lone lamp: no pair of lamps, so no cone overlap.
+        doc = tmp_path / "lamp.yaml"
+        doc.write_text(workload_documents(1)["lamp"], encoding="utf-8")
+        assert main(["resolve", str(doc), "--plane-cm", "100"]) == 0
+        assert capsys.readouterr().out == ("plane_cm=100\nthreshold_ber=0.01\n"
+                                           "tag=solo min_ber_under_lamp=0.0 resolvable=yes\n"
+                                           "critical_overlap_distance_m=unbounded\n")
 
 
 class TestSweep:

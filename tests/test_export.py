@@ -152,3 +152,14 @@ def test_window_edges_and_half_levels():
                    LinkColumns(zeros, zeros, zeros, zeros, zeros, zeros, array("d", EDGE_BERS)), L1)
     assert grid_pgm_text(grid) == reference_pgm(grid)
     assert grid_pgm_text(grid).splitlines()[3] == "0 0 255 255 255 255 0 6 20 20"
+
+
+def test_non_finite_error_rates():
+    # The model never gives these, but a hand-built grid may hold them: NaN,
+    # -inf and -0.0 fail the positive test and are drawn black, like a zero
+    # error rate, and +inf has log10 +inf, clamped to white. The reference
+    # renderer cannot take NaN or +-inf, so the pixels are pinned here.
+    ber = array("d", [math.nan, -math.inf, -0.0, math.inf, 0.0, 1.0])
+    zeros = array("d", [0.0] * len(ber))
+    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 6, ber), L1)
+    assert grid_pgm_text(grid) == "P2\n3 2\n255\n0 0 0\n255 0 255\n"

@@ -58,6 +58,12 @@ def test_normalize_zero_vector_raises():
         Vec3(0.0, 0.0, 0.0).normalized()
 
 
+def test_aiming_at_the_own_position_raises():
+    p = Vec3(1.0, -2.0, 3.0)
+    with pytest.raises(GeometryError, match="^cannot aim a pose at its own position$"):
+        Pose.aimed(p, p)
+
+
 def test_aimed_points_at_target():
     pose = Pose.aimed(Vec3(1.0, -2.0, 3.0), Vec3(0.5, 0.5, 0.5))
     d, theta, _ = link_geometry(pose, Pose(Vec3(0.5, 0.5, 0.5), UP))

@@ -182,6 +182,9 @@ BOTH_FAIL = {
     "str-on-a-collection": "!!str [a]\n",
     "int-on-a-float": "!!int 1.5\n",
     "merge-of-a-scalar": "a: {<<: 1}\n",
+    "merge-key-as-a-value": "{&m <<: {x: 1}, y: *m}\n",
+    "map-tag-on-a-scalar": "a: !!map x\n",
+    "seq-tag-on-a-scalar": "a: !!seq x\n",
 }
 
 
@@ -208,6 +211,22 @@ def test_fixed_documents_both_loaders_reject(text):
     assert load(PythonLoader, text) is None
     with pytest.raises((yaml.YAMLError, ValueError, ScenarioParseError)):
         yaml.load(text, Loader=_DocumentLoader)
+
+
+@pytest.mark.parametrize("text, message", [
+    (BOTH_FAIL["merge-key-as-a-value"], "found a merge key where no key goes"),
+    (BOTH_FAIL["map-tag-on-a-scalar"], "expected a mapping node, but found scalar"),
+    (BOTH_FAIL["seq-tag-on-a-scalar"], "expected a sequence node, but found scalar"),
+    # PyYAML builds {'a': {'b': {'b': {...}}}} here; see the README.
+    ("a: &x {b: {<<: *x}}\n", "cannot merge a collection that encloses the mapping"),
+], ids=["merge-key-as-a-value", "map-tag-on-a-scalar", "seq-tag-on-a-scalar", "enclosing-merge"])
+def test_a_rejected_construct_is_named(text, message):
+    with pytest.raises(yaml.constructor.ConstructorError, match=re.escape(message)):
+        yaml.load(text, Loader=_DocumentLoader)
+
+
+def test_pyyaml_merges_an_enclosing_collection():
+    assert load(PythonLoader, "a: &x {b: {<<: *x}}\n") == "{'a': {'b': {'b': {...}}}}"
 
 
 def test_a_merged_key_given_again_is_named():

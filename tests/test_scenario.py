@@ -197,6 +197,22 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         assert scenario.tags() == ("twin",)
         assert len(scenario.luminaires_for("twin")) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        (MINIMAL_DOC.replace("room:\n  width_m: 2.0\n  depth_m: 2.0\n  height_m: 2.0\n", ""),
+         "room: missing required section"),
+        (MINIMAL_DOC.replace("room:\n  width_m: 2.0\n  depth_m: 2.0\n  height_m: 2.0\n", "room: 5\n"),
+         "room: expected a mapping"),
+        (MINIMAL_DOC.replace("luminaire:\n", "luminaire:\n  - 5\n"), "luminaire[0]: expected a mapping"),
+    ], ids=["missing-room", "scalar-room", "scalar-luminaire"])
+    def test_section_shape_is_named(self, doc, message):
+        assert doc != MINIMAL_DOC
+        with pytest.raises(ScenarioParseError, match="^" + re.escape(message) + "$"):
+            load_scenario(doc)
+
+    def test_unknown_shipped_scenario(self):
+        with pytest.raises(ParameterError, match="^no shipped scenario named 'nope'$"):
+            builtin_scenario_path("nope")
+
     @pytest.mark.parametrize("old, new, path", CONSTRAINT_CASES,
                              ids=[path for _, _, path in CONSTRAINT_CASES])
     def test_each_constraint_is_reported_at_its_key_path(self, old, new, path):
@@ -218,6 +234,14 @@ class TestScenarioInvariants:
             Scenario(room=Room(2, 2, 2),
                      luminaires=(Luminaire("x", Pose(Vec3(1.5, 0, 2.0), DOWN), emitter),),
                      detector=DetectorModel(area_m2=1e-4, fov_deg=60.0, gain=1.3))
+
+    def test_receiver_axis_must_be_unit(self):
+        emitter = EmitterModel(power_w=1.0, semi_angle_deg=20.0)
+        with pytest.raises(ScenarioValidationError, match="^receiver axis must be a unit vector$"):
+            Scenario(room=Room(2, 2, 2),
+                     luminaires=(Luminaire("x", Pose(Vec3(0, 0, 2.0), DOWN), emitter),),
+                     detector=DetectorModel(area_m2=1e-4, fov_deg=60.0, gain=1.3),
+                     receiver_axis=Vec3(0.0, 0.0, 2.0))
 
     def test_empty_tag_rejected(self):
         emitter = EmitterModel(power_w=1.0, semi_angle_deg=20.0)
