@@ -179,11 +179,34 @@ def _grid_spec(scenario: Scenario, plane_cm: float, res: int) -> GridSpec:
     return spec
 
 
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    # Where both files exist, samefile decides (hard links too) in two stats.
+    # Otherwise the paths are compared: realpath is Path.resolve that takes
+    # a symlink loop as it stands, with no RuntimeError.
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(scenario: str, outputs: Sequence[tuple[str, str, str | Path]]) -> None:
+    # grid's and sweep's one path rule: no output (flag, name, path) may be the
+    # scenario document or another output. Checked before anything is
+    # evaluated or written.
+    for i, (flag, name, path) in enumerate(outputs):
+        if _same_file(path, scenario):
+            raise _UsageError(f"{flag}: {path} is the scenario document")
+        for _, other, other_path in outputs[:i]:
+            if _same_file(path, other_path):
+                raise _UsageError(f"{flag}: {other} and {name} would both write {path}")
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     scenario = _load_for_grids(args)
-    # realpath is Path.resolve that takes a symlink loop as it stands, with no RuntimeError.
-    if args.heatmap is not None and os.path.realpath(args.out) == os.path.realpath(args.heatmap):
-        raise _UsageError(f"--heatmap: --out and --heatmap would both write {args.heatmap}")
+    outputs = [("--out", "--out", args.out)]
+    if args.heatmap is not None:
+        outputs.append(("--heatmap", "--heatmap", args.heatmap))
+    _check_outputs(args.scenario, outputs)
     spec = _grid_spec(scenario, args.plane_cm, args.res)
     grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
     # Lines are printed after every write, so none names a file a later failure left unwritten.
@@ -203,11 +226,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise _UsageError(f"--planes-cm: two planes would both write {name}")
+    out_dir = Path(args.out)
+    _check_outputs(args.scenario, [("--out", f"plane {plane_cm:g}", out_dir / name)
+                                   for plane_cm, name in zip(plane_values, names)])
     # Every flag is checked, and every plane is evaluated (the first checks
     # the tag), before anything is written: an error leaves no output.
     specs = [_grid_spec(scenario, plane_cm, args.res) for plane_cm in plane_values]
 
-    out_dir = Path(args.out)
     planes = []
     for plane_cm, spec, name in zip(plane_values, specs, names):
         grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)

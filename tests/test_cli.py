@@ -264,6 +264,36 @@ class TestGrid:
         assert captured.err == f"usage error: --heatmap: --out and --heatmap would both write {heatmap}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "l1.yaml"], "--out: l1.yaml is the scenario document"),
+        (["--out", "./sub/../l1.yaml"], "--out: ./sub/../l1.yaml is the scenario document"),
+        (["--out", "x.csv", "--heatmap", "link.yaml"], "--heatmap: link.yaml is the scenario document"),
+        (["--out", "hard.yaml"], "--out: hard.yaml is the scenario document"),
+    ], ids=["same-path", "dotdot", "heatmap-symlink", "out-hard-link"])
+    def test_output_naming_the_scenario_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.chdir(tmp_path)
+        original = Path(L1_PATH).read_bytes()
+        Path("l1.yaml").write_bytes(original)
+        Path("link.yaml").symlink_to("l1.yaml")
+        os.link("l1.yaml", "hard.yaml")
+        assert main(["grid", "l1.yaml", "--tag", "inner", "--plane-cm", "30", "--res", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+        assert Path("l1.yaml").read_bytes() == original
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.yaml", "l1.yaml", "link.yaml"]
+
+    def test_out_and_heatmap_hard_links_are_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("a.csv").write_bytes(b"kept")
+        os.link("a.csv", "b.pgm")
+        assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "4",
+                     "--out", "a.csv", "--heatmap", "b.pgm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --heatmap: --out and --heatmap would both write b.pgm\n"
+        assert Path("a.csv").read_bytes() == b"kept"
+
 
 class TestBenchmarkSizes:
     """The shipped scenarios at the benchmark's sizes (G1 grids at res 72 and
@@ -440,6 +470,29 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
         assert captured.out == ""
         assert captured.err == "usage error: --planes-cm: two planes would both write inner_plane30cm.csv\n"
         assert not out.exists()
+
+    def test_plane_csv_naming_the_scenario_is_a_usage_error(self, tmp_path, capsys):
+        doc = tmp_path / "inner_plane40cm.csv"
+        original = Path(L1_PATH).read_bytes()
+        doc.write_bytes(original)
+        assert main(["sweep", str(doc), "--tag", "inner", "--planes-cm", "30,40", "--res", "4",
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --out: {doc} is the scenario document\n"
+        assert doc.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == [doc.name]
+
+    def test_plane_csvs_that_are_hard_links_are_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "inner_plane30cm.csv").write_bytes(b"kept")
+        os.link(tmp_path / "inner_plane30cm.csv", tmp_path / "inner_plane40cm.csv")
+        assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm", "30,40", "--res", "4",
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: --out: plane 30 and plane 40 would both write "
+                                f"{tmp_path / 'inner_plane40cm.csv'}\n")
+        assert (tmp_path / "inner_plane30cm.csv").read_bytes() == b"kept"
 
 
 class TestCoverage:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ledid import McConfig, ParameterError, agreement_report, mc_ber_bfsk
+import ledid
+from ledid import McConfig, ParameterError, agreement_report, mc_ber_bfsk, oracle
 
 
 def analytic(snr):
@@ -117,3 +122,38 @@ class TestSharedDraws:
         monkeypatch.setattr(np.random, "Philox", no_draws)
         with pytest.raises(ParameterError):
             agreement_report(snrs, trials=1_000, seed=1)
+
+
+class TestBlockBoundaries:
+    """Trial counts on either side of a block boundary give the full-array estimates."""
+
+    SNRS = (0.0, 2.0, 6.0)
+
+    @pytest.mark.parametrize("block, k", [(1, 40), (7, 30), (4096, 3)], ids=["1", "7", "4096"])
+    def test_estimates_equal_the_full_array_reference(self, monkeypatch, block, k):
+        monkeypatch.setattr(oracle, "_BATCH_TRIALS", block)
+        for trials in (k * block - 1, k * block, k * block + 1):
+            expected = [reference_estimate(snr, trials, 17) for snr in self.SNRS]
+            alone = [mc_ber_bfsk(McConfig(snr=snr, trials=trials, seed=17))[0] for snr in self.SNRS]
+            assert alone == expected, trials
+            assert [p.estimate for p in agreement_report(self.SNRS, trials, 17)] == expected, trials
+
+
+def _peak_rss_mib(*args):
+    # ru_maxrss (KiB on Linux) of one child running python with ``args``, read
+    # by a fresh process whose only child it is.
+    probe = ("import resource, subprocess, sys; "
+             "subprocess.run([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = str(Path(ledid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                            env=env, check=True, timeout=300)
+    return int(result.stdout) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_default_mc_verify_memory_is_flat():
+    # 10^6 trials in blocks: the run's peak stays near that of importing the CLI.
+    baseline = _peak_rss_mib("-c", "import ledid.cli")
+    assert _peak_rss_mib("-m", "ledid", "mc-verify") - baseline <= 16.0
