@@ -34,7 +34,6 @@ from .link import (
     LinkColumns,
     ModulationParams,
     ber_bfsk,
-    electrical_signal_ms,
     evaluate_link,
     evaluate_points,
     snr,
@@ -94,7 +93,6 @@ __all__ = [
     "channel_gain",
     "coverage",
     "critical_overlap_distance",
-    "electrical_signal_ms",
     "evaluate_grid",
     "evaluate_link",
     "evaluate_points",

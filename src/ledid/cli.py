@@ -171,10 +171,10 @@ def _float_list(flag: str, text: str, what: str) -> list[float]:
         raise _UsageError(f"{flag}: {exc}") from exc
 
 
-def _grid_spec(scenario: Scenario, plane_cm: float, res: int) -> GridSpec:
+def _grid_spec(scenario: Scenario, flag: str, plane_cm: float, res: int) -> GridSpec:
     if res < 2:
         raise _UsageError(f"--res must be at least 2, got {res}")
-    spec = GridSpec.for_room(scenario.room, _positive("--plane-cm", plane_cm) / 100.0, res)
+    spec = GridSpec.for_room(scenario.room, _positive(flag, plane_cm) / 100.0, res)
     scenario.room.plane_z(spec.plane_distance_m)
     return spec
 
@@ -207,8 +207,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.heatmap is not None:
         outputs.append(("--heatmap", "--heatmap", args.heatmap))
     _check_outputs(args.scenario, outputs)
-    spec = _grid_spec(scenario, args.plane_cm, args.res)
-    grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
+    spec = _grid_spec(scenario, "--plane-cm", args.plane_cm, args.res)
+    grid = evaluate_grid(scenario, spec, args.tag)
     # Lines are printed after every write, so none names a file a later failure left unwritten.
     write_grid_csv(grid, args.out)
     lines = [f"csv={args.out} cells={args.res}x{args.res}"]
@@ -231,11 +231,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                    for plane_cm, name in zip(plane_values, names)])
     # Every flag is checked, and every plane is evaluated (the first checks
     # the tag), before anything is written: an error leaves no output.
-    specs = [_grid_spec(scenario, plane_cm, args.res) for plane_cm in plane_values]
+    specs = [_grid_spec(scenario, "--planes-cm", plane_cm, args.res) for plane_cm in plane_values]
 
     planes = []
     for plane_cm, spec, name in zip(plane_values, specs, names):
-        grid = evaluate_grid(scenario, spec, args.tag, workers=args.workers)
+        grid = evaluate_grid(scenario, spec, args.tag)
         csv_path = out_dir / name
         # Summary: min and median of the error rate at the foot of each lamp.
         bers = foot_bers(scenario, plane_cm / 100.0, args.tag)

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import DetectorModel, EmitterModel, channel_gain
+from .channel import channel_gain
 from .errors import GeometryError, ParameterError, check_positive_finite
 from .geometry import Pose, Vec3
 from .noise import total_noise_variance
@@ -173,34 +173,6 @@ class LuminaireArrays:
         for a in arrays:
             a.setflags(write=False)
         return cls(*arrays)
-
-
-def electrical_signal_ms(
-    gains: Sequence[float],
-    emitters: Sequence[EmitterModel],
-    detector: DetectorModel,
-    modulation: ModulationParams | Sequence[ModulationParams],
-) -> float:
-    """Mean-square electrical signal of one transmitter set, in A^2.
-
-    ``modulation`` is either a single ModulationParams shared by the whole
-    set or a sequence parallel to ``gains``.
-    """
-    if len(gains) != len(emitters):
-        raise ParameterError(
-            f"gains and emitters must be parallel lists, got {len(gains)} and {len(emitters)}")
-    if isinstance(modulation, ModulationParams):
-        mods: Sequence[ModulationParams] = [modulation] * len(gains)
-    else:
-        mods = list(modulation)
-        if len(mods) != len(gains):
-            raise ParameterError(
-                f"modulation list must parallel gains, got {len(mods)} and {len(gains)}")
-    r = detector.responsivity_a_per_w
-    return math.fsum(
-        (r * h * em.power_w * mo.mod_index) ** 2 * mo.baseband_power
-        for h, em, mo in zip(gains, emitters, mods)
-    )
 
 
 def snr(signal_ms: float, interference_ms: float, noise_variance: float) -> float:

@@ -52,7 +52,7 @@ from .channel import DetectorModel, EmitterModel
 from .errors import (ParameterError, PlaneOutsideRoomError, ScenarioParseError, ScenarioValidationError,
                      TagNotFoundError, check_positive_finite)
 from .geometry import AXIS_TOL, Pose, Vec3
-from .link import LinkBudget, LinkColumns, LuminaireArrays, ModulationParams, evaluate_points, luminaire_gains
+from .link import LinkColumns, LuminaireArrays, ModulationParams, evaluate_points
 from .noise import NoiseParams
 
 _DOWN = Vec3(0.0, 0.0, -1.0)
@@ -189,9 +189,7 @@ class BerGrid:
 
     ``columns`` holds one value per cell in row-major (y, x) order: the
     cell at ``(x_centers_m[ix], y_centers_m[iy])`` is entry
-    ``iy * len(x_centers_m) + ix`` of every column. ``cells[iy][ix]`` is the
-    same cell as a full LinkBudget, per-luminaire gains included; it is
-    built on first use and kept.
+    ``iy * len(x_centers_m) + ix`` of every column.
     """
 
     spec: GridSpec
@@ -199,21 +197,6 @@ class BerGrid:
     x_centers_m: tuple[float, ...]
     y_centers_m: tuple[float, ...]
     columns: LinkColumns
-    scenario: Scenario = field(repr=False)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[LinkBudget, ...], ...]:
-        z = self.scenario.room.plane_z(self.spec.plane_distance_m)
-        tags = self.scenario.luminaire_arrays.tags.tolist()
-        c = self.columns
-        rows = []
-        for iy, y in enumerate(self.y_centers_m):
-            gains = luminaire_gains(self.scenario, [(x, y, z) for x in self.x_centers_m]).tolist()
-            rows.append(tuple(
-                LinkBudget(tuple(zip(tags, row)), c.received_power_w[i], c.signal_ms_a2[i],
-                           c.interference_ms_a2[i], c.noise_variance_a2[i], c.snr[i], c.ber[i])
-                for i, row in enumerate(gains, iy * len(self.x_centers_m))))
-        return tuple(rows)
 
 
 def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -225,14 +208,12 @@ def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(mid + ((2 * i + 1 - n) / (2 * n)) * span for i in range(n))
 
 
-def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers: int = 1) -> BerGrid:
+def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str) -> BerGrid:
     """Evaluate the link budget for ``data_tag_id`` at every cell center.
 
     All cells go through ``evaluate_points`` as one batch, so each cell is
     bit-identical to ``evaluate_link`` at its center and the result is a
-    pure function of the scenario and the spec. ``workers`` is accepted for
-    compatibility and ignored; cells are evaluated on the calling thread,
-    so it changes neither the output nor the speed.
+    pure function of the scenario and the spec.
     """
     scenario.check_tags((data_tag_id,))
     room = scenario.room
@@ -248,7 +229,7 @@ def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str, workers:
     cells = len(xs) * len(ys)
     points = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs)), np.full(cells, z)))
     return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys,
-                   columns=evaluate_points(scenario, points, data_tag_id), scenario=scenario)
+                   columns=evaluate_points(scenario, points, data_tag_id))
 
 
 def load_scenario(text: str) -> Scenario:

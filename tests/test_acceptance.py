@@ -142,20 +142,22 @@ def test_criterion_8_symmetry_suite():
     n = 16
     l1_grid = evaluate_grid(builtin_l1(), GridSpec.for_room(builtin_l1().room, 0.3, n),
                             "outer-left")
+    l1_ber = l1_grid.columns.ber  # cell (ix, iy) is entry iy * n + ix
     mirror_pairs = [
-        (l1_grid.cells[iy][ix].ber, l1_grid.cells[n - 1 - iy][ix].ber)
+        (l1_ber[iy * n + ix], l1_ber[(n - 1 - iy) * n + ix])
         for iy in range(n) for ix in range(n)
     ]
     l1_asym = _max_relative_asymmetry(mirror_pairs)
 
     g1_grid = evaluate_grid(builtin_g1(), GridSpec.for_room(builtin_g1().room, 0.3, n), "center")
+    g1_ber = g1_grid.columns.ber
     four_fold_pairs = []
     for iy in range(n):
         for ix in range(n):
-            ber = g1_grid.cells[iy][ix].ber
-            four_fold_pairs.append((ber, g1_grid.cells[iy][n - 1 - ix].ber))
-            four_fold_pairs.append((ber, g1_grid.cells[n - 1 - iy][ix].ber))
-            four_fold_pairs.append((ber, g1_grid.cells[n - 1 - iy][n - 1 - ix].ber))
+            ber = g1_ber[iy * n + ix]
+            four_fold_pairs.append((ber, g1_ber[iy * n + n - 1 - ix]))
+            four_fold_pairs.append((ber, g1_ber[(n - 1 - iy) * n + ix]))
+            four_fold_pairs.append((ber, g1_ber[(n - 1 - iy) * n + n - 1 - ix]))
     g1_asym = _max_relative_asymmetry(four_fold_pairs)
 
     ok = l1_asym <= 1e-12 and g1_asym <= 1e-12

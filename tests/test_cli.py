@@ -397,6 +397,14 @@ class TestSweep:
         assert captured.out == "" and captured.err.count("error:") == 1
         assert not out.exists()
 
+    def test_negative_plane_names_the_sweep_flag(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm=-5,30", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --planes-cm must be positive, got -5\n"
+        assert not out.exists()
+
     # A budget that overflows only on the later plane: the 1e160 W lamp
     # hangs 1 m below the ceiling, facing down, so it lights the 150 cm
     # plane and nothing on the 30 cm one.

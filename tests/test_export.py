@@ -28,7 +28,7 @@ bers = st.one_of(st.sampled_from(EDGE_BERS), st.floats(0.0, 1.0))
 values = st.floats(0.0, allow_nan=False)
 coordinates = st.floats(-10.0, 10.0)
 L1 = builtin_l1()
-SPEC = GridSpec.for_room(L1.room, 0.3, 2)  # BerGrid reads its spec only for cells
+SPEC = GridSpec.for_room(L1.room, 0.3, 2)  # export never reads a grid's spec
 
 
 def reference_csv(grid):
@@ -69,7 +69,6 @@ def grids(draw):
         x_centers_m=tuple(draw(st.lists(coordinates, min_size=width, max_size=width))),
         y_centers_m=tuple(draw(st.lists(coordinates, min_size=height, max_size=height))),
         columns=LinkColumns(*column, ber),
-        scenario=L1,
     )
 
 
@@ -96,7 +95,7 @@ def pooled_grids(draw):
     column = [array("d", draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))) for _ in range(6)]
     ber = array("d", draw(st.lists(st.sampled_from(BER_POOL), min_size=n, max_size=n)))
     return BerGrid(SPEC, "inner", tuple(map(float, range(width))), tuple(map(float, range(height))),
-                   LinkColumns(*column, ber), L1)
+                   LinkColumns(*column, ber))
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,7 +108,7 @@ def test_repeated_values_render_as_the_row_by_row_renderer(grid):
 def test_all_zero_error_rates():
     # No positive error rate: the graymap takes log10 of an empty column.
     zeros = array("d", [0.0, -0.0, 0.0, 0.0, -0.0, 0.0])
-    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 7), L1)
+    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 7))
     assert grid_csv_text(grid) == reference_csv(grid)
     assert grid_pgm_text(grid) == reference_pgm(grid)
     assert grid_pgm_text(grid).endswith("\n0 0 0\n0 0 0\n")
@@ -149,7 +148,7 @@ def test_window_edges_and_half_levels():
     # The edge values do sit on the edges, and each renders as the reference does.
     zeros = array("d", [0.0] * len(EDGE_BERS))
     grid = BerGrid(SPEC, "inner", tuple(map(float, range(len(EDGE_BERS)))), (0.0,),
-                   LinkColumns(zeros, zeros, zeros, zeros, zeros, zeros, array("d", EDGE_BERS)), L1)
+                   LinkColumns(zeros, zeros, zeros, zeros, zeros, zeros, array("d", EDGE_BERS)))
     assert grid_pgm_text(grid) == reference_pgm(grid)
     assert grid_pgm_text(grid).splitlines()[3] == "0 0 255 255 255 255 0 6 20 20"
 
@@ -161,5 +160,5 @@ def test_non_finite_error_rates():
     # renderer cannot take NaN or +-inf, so the pixels are pinned here.
     ber = array("d", [math.nan, -math.inf, -0.0, math.inf, 0.0, 1.0])
     zeros = array("d", [0.0] * len(ber))
-    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 6, ber), L1)
+    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 6, ber))
     assert grid_pgm_text(grid) == "P2\n3 2\n255\n0 0 0\n255 0 255\n"

@@ -33,6 +33,7 @@ from ledid import (
     builtin_g1,
     ber_bfsk,
     builtin_l1,
+    channel_gain,
     coverage,
     evaluate_grid,
     evaluate_link,
@@ -288,22 +289,29 @@ class TestPerPositionTags:
 
 
 class TestGridColumns:
-    def test_cells_view_is_the_scalar_budget(self):
-        scenario = shared_tag_scenario()
-        grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.7, 6), "odd")
-        z = scenario.room.height_m - 0.7
-        for iy, y in enumerate(grid.y_centers_m):
-            for ix, x in enumerate(grid.x_centers_m):
-                assert grid.cells[iy][ix] == evaluate_link(scenario, Vec3(x, y, z), "odd")
-        assert grid.cells is grid.cells
+    def test_luminaire_gains_are_channel_gain_per_pair(self):
+        # Entry [i, j] is the scalar gain of lamp j at position i, facing the
+        # scenario's receiver axis, upright or tilted.
+        for axis in (Vec3(0.0, 0.0, 1.0), Vec3(0.35, -0.2, 0.9).normalized()):
+            scenario = shared_tag_scenario(receiver_axis=axis)
+            grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.7, 6), "odd")
+            z = scenario.room.height_m - 0.7
+            points = [(x, y, z) for y in grid.y_centers_m for x in grid.x_centers_m]
+            gains = link.luminaire_gains(scenario, points)
+            assert gains.shape == (len(points), len(scenario.luminaires))
+            for row, p in zip(gains, points):
+                rx = Pose(Vec3(*p), scenario.receiver_axis)
+                assert bits(row) == bits(channel_gain(lamp.pose, lamp.emitter, rx, scenario.detector)
+                                         for lamp in scenario.luminaires)
 
     def test_columns_are_row_major(self):
         scenario = builtin_l1()
         grid = evaluate_grid(scenario, GridSpec(0.3, (-1.0, 1.0), (-0.5, 0.5), 4), "inner")
         nx = len(grid.x_centers_m)
-        for iy in range(len(grid.y_centers_m)):
-            for ix in range(nx):
-                assert grid.columns.ber[iy * nx + ix] == grid.cells[iy][ix].ber
+        for iy, y in enumerate(grid.y_centers_m):
+            for ix, x in enumerate(grid.x_centers_m):
+                budget = evaluate_link(scenario, Vec3(x, y, 2.0 - 0.3), "inner")
+                assert grid.columns.ber[iy * nx + ix] == budget.ber
 
     def test_grids_compare_by_value(self):
         scenario = builtin_g1()

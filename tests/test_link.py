@@ -18,7 +18,6 @@ from ledid import (
     Vec3,
     ber_bfsk,
     builtin_l1,
-    electrical_signal_ms,
     evaluate_link,
     snr,
 )
@@ -55,37 +54,36 @@ def chain_ber(plane_m, data_lateral, interferer_laterals, m, include_signal_shot
     return 0.5 * math.exp(-0.5 * ratio)
 
 
-class TestElectricalSignal:
-    def test_empty_set_is_zero(self):
-        assert electrical_signal_ms([], [], DET, ModulationParams()) == 0.0
+def lamps_scenario(*lamps):
+    """Down-facing lamps ``(tag, x_m, modulation)`` 1 m above the receiver plane at z = 1 m."""
+    emitter = EmitterModel(power_w=1.0, semi_angle_deg=60.0)
+    return Scenario(room=Room(2.0, 2.0, 2.0), detector=DET, luminaires=tuple(
+        Luminaire(tag, Pose(Vec3(x, 0.0, 2.0), DOWN), emitter, mod) for tag, x, mod in lamps))
 
+
+class TestElectricalSignal:
     def test_single_luminaire_plug_in(self):
         h = 2.0 * 1e-4 * 1.3 / (2.0 * math.pi)  # boresight gain at 1 m, m = 1
-        emitter = EmitterModel(power_w=1.0, semi_angle_deg=60.0)
-        value = electrical_signal_ms([h], [emitter], DET, ModulationParams())
-        assert value == pytest.approx((0.54 * h) ** 2 * 0.5, rel=1e-15)
+        scenario = lamps_scenario(("a", 0.0, ModulationParams()))
+        value = evaluate_link(scenario, Vec3(0.0, 0.0, 1.0), "a").signal_ms_a2
+        assert value == pytest.approx((0.54 * h * 1.0 * 1.0) ** 2 * 0.5, rel=1e-15)  # (R h P mu)^2 E
         assert value == pytest.approx(2.497e-10, rel=1e-3)
 
     def test_two_identical_luminaires_double_the_power(self):
-        emitter = EmitterModel(power_w=1.0, semi_angle_deg=60.0)
-        one = electrical_signal_ms([1e-4], [emitter], DET, ModulationParams())
-        two = electrical_signal_ms([1e-4, 1e-4], [emitter, emitter], DET, ModulationParams())
+        # Mirror-image lamps give the receiver between them equal gains.
+        rx = Vec3(0.0, 0.0, 1.0)
+        one = evaluate_link(lamps_scenario(("a", 0.3, ModulationParams())), rx, "a").signal_ms_a2
+        two = evaluate_link(lamps_scenario(("a", -0.3, ModulationParams()), ("a", 0.3, ModulationParams())),
+                            rx, "a").signal_ms_a2
+        assert one > 0.0
         assert two == 2.0 * one
 
     def test_per_luminaire_modulation(self):
-        emitter = EmitterModel(power_w=1.0, semi_angle_deg=60.0)
-        mods = [ModulationParams(mod_index=1.0), ModulationParams(mod_index=0.5)]
-        value = electrical_signal_ms([1e-4, 1e-4], [emitter, emitter], DET, mods)
-        expected = (0.54 * 1e-4) ** 2 * 0.5 * (1.0 + 0.25)
-        assert value == pytest.approx(expected, rel=1e-15)
-
-    def test_mismatched_lists_raise(self):
-        emitter = EmitterModel(power_w=1.0, semi_angle_deg=60.0)
-        with pytest.raises(ParameterError):
-            electrical_signal_ms([1e-4], [emitter, emitter], DET, ModulationParams())
-        with pytest.raises(ParameterError):
-            electrical_signal_ms([1e-4, 1e-4], [emitter, emitter], DET,
-                                 [ModulationParams()])
+        rx = Vec3(0.0, 0.0, 1.0)
+        one = evaluate_link(lamps_scenario(("a", 0.3, ModulationParams())), rx, "a").signal_ms_a2
+        value = evaluate_link(lamps_scenario(("a", -0.3, ModulationParams(mod_index=1.0)),
+                                             ("a", 0.3, ModulationParams(mod_index=0.5))), rx, "a").signal_ms_a2
+        assert value == pytest.approx(one * (1.0 + 0.25), rel=1e-15)
 
 
 class TestSnr:
