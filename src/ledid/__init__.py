@@ -42,7 +42,6 @@ from .noise import ELECTRON_CHARGE_C, NoiseParams, shot_noise_variance, total_no
 from .oracle import AgreementPoint, McConfig, agreement_report, mc_ber_bfsk
 from .scenario import (
     BerGrid,
-    GridSpec,
     Luminaire,
     Room,
     Scenario,
@@ -65,7 +64,6 @@ __all__ = [
     "ELECTRON_CHARGE_C",
     "EmitterModel",
     "GeometryError",
-    "GridSpec",
     "LedIdError",
     "LinkBudget",
     "LinkColumns",

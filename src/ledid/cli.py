@@ -28,7 +28,7 @@ from .channel import lambertian_order
 from .errors import LedIdError
 from .export import write_grid_csv, write_grid_pgm
 from .oracle import agreement_report
-from .scenario import GridSpec, Scenario, evaluate_grid, load_scenario_with_defaults, read_scenario_text
+from .scenario import Scenario, evaluate_grid, load_scenario_with_defaults, read_scenario_text
 
 _DEFAULT_SNR_LIST = "0,1,2,4,8,12,16"
 _WORKERS_HELP = "accepted for compatibility (>= 1); changes neither output nor speed (default 1)"
@@ -171,12 +171,13 @@ def _float_list(flag: str, text: str, what: str) -> list[float]:
         raise _UsageError(f"{flag}: {exc}") from exc
 
 
-def _grid_spec(scenario: Scenario, flag: str, plane_cm: float, res: int) -> GridSpec:
+def _grid_plane(scenario: Scenario, flag: str, plane_cm: float, res: int) -> float:
+    # The plane in metres, after the usage checks of the plane and --res.
     if res < 2:
         raise _UsageError(f"--res must be at least 2, got {res}")
-    spec = GridSpec.for_room(scenario.room, _positive(flag, plane_cm) / 100.0, res)
-    scenario.room.plane_z(spec.plane_distance_m)
-    return spec
+    plane_m = _positive(flag, plane_cm) / 100.0
+    scenario.room.plane_z(plane_m)
+    return plane_m
 
 
 def _same_file(a: str | Path, b: str | Path) -> bool:
@@ -207,8 +208,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.heatmap is not None:
         outputs.append(("--heatmap", "--heatmap", args.heatmap))
     _check_outputs(args.scenario, outputs)
-    spec = _grid_spec(scenario, "--plane-cm", args.plane_cm, args.res)
-    grid = evaluate_grid(scenario, spec, args.tag)
+    plane_m = _grid_plane(scenario, "--plane-cm", args.plane_cm, args.res)
+    grid = evaluate_grid(scenario, plane_m, args.res, args.tag)
     # Lines are printed after every write, so none names a file a later failure left unwritten.
     write_grid_csv(grid, args.out)
     lines = [f"csv={args.out} cells={args.res}x{args.res}"]
@@ -231,11 +232,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                    for plane_cm, name in zip(plane_values, names)])
     # Every flag is checked, and every plane is evaluated (the first checks
     # the tag), before anything is written: an error leaves no output.
-    specs = [_grid_spec(scenario, "--planes-cm", plane_cm, args.res) for plane_cm in plane_values]
+    planes_m = [_grid_plane(scenario, "--planes-cm", plane_cm, args.res) for plane_cm in plane_values]
 
     planes = []
-    for plane_cm, spec, name in zip(plane_values, specs, names):
-        grid = evaluate_grid(scenario, spec, args.tag)
+    for plane_cm, plane_m, name in zip(plane_values, planes_m, names):
+        grid = evaluate_grid(scenario, plane_m, args.res, args.tag)
         csv_path = out_dir / name
         # Summary: min and median of the error rate at the foot of each lamp.
         bers = foot_bers(scenario, plane_cm / 100.0, args.tag)

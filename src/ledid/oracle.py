@@ -61,7 +61,7 @@ class McConfig:
             raise ParameterError(f"SNR must be >= 0, got {self.snr}")
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError(f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 

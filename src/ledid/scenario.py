@@ -31,7 +31,6 @@ wording.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
@@ -153,46 +152,17 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Sampling plan for a horizontal receiver plane.
-
-    ``plane_distance_m`` is measured downward from the luminaire plane at
-    the ceiling; ``resolution`` is cells per axis and each cell is sampled
-    at its center (an open sampling of the field, not an average).
-    """
-
-    plane_distance_m: float
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    resolution: int
-
-    def __post_init__(self) -> None:
-        if not self.plane_distance_m > 0.0:
-            raise ParameterError(f"plane distance must be positive, got {self.plane_distance_m}")
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int) or self.resolution < 2:
-            raise ParameterError(f"resolution must be an integer >= 2, got {self.resolution}")
-        for name, (lo, hi) in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ParameterError(f"{name} must be an increasing finite interval, got ({lo}, {hi})")
-
-    @classmethod
-    def for_room(cls, room: Room, plane_distance_m: float, resolution: int) -> "GridSpec":
-        """Grid spanning the full room footprint."""
-        half_w = 0.5 * room.width_m
-        half_d = 0.5 * room.depth_m
-        return cls(plane_distance_m, (-half_w, half_w), (-half_d, half_d), resolution)
-
-
-@dataclass(frozen=True)
 class BerGrid:
     """Link budgets for one tag at the cell centers of one receiver plane.
 
+    The plane lies ``plane_distance_m`` below the ceiling and the grid
+    spans the room footprint, ``len(x_centers_m)`` cells per axis.
     ``columns`` holds one value per cell in row-major (y, x) order: the
     cell at ``(x_centers_m[ix], y_centers_m[iy])`` is entry
     ``iy * len(x_centers_m) + ix`` of every column.
     """
 
-    spec: GridSpec
+    plane_distance_m: float
     tag_id: str
     x_centers_m: tuple[float, ...]
     y_centers_m: tuple[float, ...]
@@ -208,27 +178,25 @@ def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(mid + ((2 * i + 1 - n) / (2 * n)) * span for i in range(n))
 
 
-def evaluate_grid(scenario: Scenario, spec: GridSpec, data_tag_id: str) -> BerGrid:
+def evaluate_grid(scenario: Scenario, plane_distance_m: float, resolution: int, data_tag_id: str) -> BerGrid:
     """Evaluate the link budget for ``data_tag_id`` at every cell center.
 
-    All cells go through ``evaluate_points`` as one batch, so each cell is
-    bit-identical to ``evaluate_link`` at its center and the result is a
-    pure function of the scenario and the spec.
+    The grid spans the room footprint with ``resolution`` cells per axis,
+    each sampled at its center (an open sampling of the field, not an
+    average), on the plane ``plane_distance_m`` below the ceiling. All
+    cells go through ``evaluate_points`` as one batch, so each cell is
+    bit-identical to ``evaluate_link`` at its center.
     """
     scenario.check_tags((data_tag_id,))
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
+        raise ParameterError(f"resolution must be an integer >= 2, got {resolution}")
     room = scenario.room
-    half_w = 0.5 * room.width_m
-    half_d = 0.5 * room.depth_m
-    if spec.x_range[0] < -half_w or spec.x_range[1] > half_w:
-        raise ScenarioValidationError("grid x_range must lie within the room footprint")
-    if spec.y_range[0] < -half_d or spec.y_range[1] > half_d:
-        raise ScenarioValidationError("grid y_range must lie within the room footprint")
-    z = room.plane_z(spec.plane_distance_m)
-    xs = _cell_centers(spec.x_range[0], spec.x_range[1], spec.resolution)
-    ys = _cell_centers(spec.y_range[0], spec.y_range[1], spec.resolution)
+    z = room.plane_z(plane_distance_m)
+    xs = _cell_centers(-0.5 * room.width_m, 0.5 * room.width_m, resolution)
+    ys = _cell_centers(-0.5 * room.depth_m, 0.5 * room.depth_m, resolution)
     cells = len(xs) * len(ys)
     points = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs)), np.full(cells, z)))
-    return BerGrid(spec=spec, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys,
+    return BerGrid(plane_distance_m=plane_distance_m, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys,
                    columns=evaluate_points(scenario, points, data_tag_id))
 
 

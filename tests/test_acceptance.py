@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from ledid import (
     DetectorModel,
     EmitterModel,
-    GridSpec,
     Luminaire,
     NoiseParams,
     Pose,
@@ -140,8 +139,7 @@ def _max_relative_asymmetry(pairs):
 
 def test_criterion_8_symmetry_suite():
     n = 16
-    l1_grid = evaluate_grid(builtin_l1(), GridSpec.for_room(builtin_l1().room, 0.3, n),
-                            "outer-left")
+    l1_grid = evaluate_grid(builtin_l1(), 0.3, n, "outer-left")
     l1_ber = l1_grid.columns.ber  # cell (ix, iy) is entry iy * n + ix
     mirror_pairs = [
         (l1_ber[iy * n + ix], l1_ber[(n - 1 - iy) * n + ix])
@@ -149,7 +147,7 @@ def test_criterion_8_symmetry_suite():
     ]
     l1_asym = _max_relative_asymmetry(mirror_pairs)
 
-    g1_grid = evaluate_grid(builtin_g1(), GridSpec.for_room(builtin_g1().room, 0.3, n), "center")
+    g1_grid = evaluate_grid(builtin_g1(), 0.3, n, "center")
     g1_ber = g1_grid.columns.ber
     four_fold_pairs = []
     for iy in range(n):

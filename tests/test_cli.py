@@ -197,13 +197,23 @@ class TestGrid:
             ber = float(fields[8])
             assert 0.0 <= ber <= 0.5
 
+    def test_non_square_room_spans_width_in_x_and_depth_in_y(self, tmp_path):
+        doc = tmp_path / "room.yaml"
+        doc.write_text(SINGLE_LAMP_DOC.replace("depth_m: 2.0", "depth_m: 3.0"))
+        out = tmp_path / "grid.csv"
+        assert main(["grid", str(doc), "--tag", "solo", "--plane-cm", "30", "--res", "4", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        xs = (-0.75, -0.25, 0.25, 0.75)
+        ys = (-1.125, -0.375, 0.375, 1.125)
+        assert [(float(row[0]), float(row[1])) for row in rows] == [(x, y) for y in ys for x in xs]
+
     @pytest.mark.parametrize("path, tag", [(L1_PATH, "outer-left"), (G1_PATH, "center"), (G1_PATH, "ne")],
                              ids=["L1-outer-left", "G1-center", "G1-ne"])
     def test_csv_parses_back_to_the_grid(self, tmp_path, path, tag):
         out = tmp_path / "grid.csv"
         assert main(["grid", path, "--tag", tag, "--plane-cm", "35", "--res", "12", "--out", str(out)]) == 0
         scenario = ledid.load_scenario_file(path)
-        grid = ledid.evaluate_grid(scenario, ledid.GridSpec.for_room(scenario.room, 0.35, 12), tag)
+        grid = ledid.evaluate_grid(scenario, 0.35, 12, tag)
         c = grid.columns
         values = zip(c.h_data, c.signal_ms_a2, c.interference_ms_a2, c.noise_variance_a2, c.snr, c.ber)
         cells = [(x, y, *next(values)) for y in grid.y_centers_m for x in grid.x_centers_m]

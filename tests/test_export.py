@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ledid import GridSpec, builtin_l1, export
+from ledid import export
 from ledid.export import CSV_HEADER, grid_csv_text, grid_pgm_text
 from ledid.link import LinkColumns
 from ledid.scenario import BerGrid
@@ -27,8 +27,7 @@ EDGE_BERS = (0.0, 1e-8, 0.5011872336272722, 0.5011872336272724, 0.5, 1.0, 5e-324
 bers = st.one_of(st.sampled_from(EDGE_BERS), st.floats(0.0, 1.0))
 values = st.floats(0.0, allow_nan=False)
 coordinates = st.floats(-10.0, 10.0)
-L1 = builtin_l1()
-SPEC = GridSpec.for_room(L1.room, 0.3, 2)  # export never reads a grid's spec
+PLANE_M = 0.3  # export never reads a grid's plane
 
 
 def reference_csv(grid):
@@ -64,7 +63,7 @@ def grids(draw):
     column = [array("d", draw(st.lists(values, min_size=n, max_size=n))) for _ in range(6)]
     ber = array("d", draw(st.lists(bers, min_size=n, max_size=n)))
     return BerGrid(
-        spec=SPEC,
+        plane_distance_m=PLANE_M,
         tag_id=draw(st.sampled_from(("inner", "outer-left"))),
         x_centers_m=tuple(draw(st.lists(coordinates, min_size=width, max_size=width))),
         y_centers_m=tuple(draw(st.lists(coordinates, min_size=height, max_size=height))),
@@ -94,7 +93,7 @@ def pooled_grids(draw):
     n = width * height
     column = [array("d", draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))) for _ in range(6)]
     ber = array("d", draw(st.lists(st.sampled_from(BER_POOL), min_size=n, max_size=n)))
-    return BerGrid(SPEC, "inner", tuple(map(float, range(width))), tuple(map(float, range(height))),
+    return BerGrid(PLANE_M, "inner", tuple(map(float, range(width))), tuple(map(float, range(height))),
                    LinkColumns(*column, ber))
 
 
@@ -108,7 +107,7 @@ def test_repeated_values_render_as_the_row_by_row_renderer(grid):
 def test_all_zero_error_rates():
     # No positive error rate: the graymap takes log10 of an empty column.
     zeros = array("d", [0.0, -0.0, 0.0, 0.0, -0.0, 0.0])
-    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 7))
+    grid = BerGrid(PLANE_M, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 7))
     assert grid_csv_text(grid) == reference_csv(grid)
     assert grid_pgm_text(grid) == reference_pgm(grid)
     assert grid_pgm_text(grid).endswith("\n0 0 0\n0 0 0\n")
@@ -147,7 +146,7 @@ def test_pgm_matches_the_row_by_row_renderer(grid):
 def test_window_edges_and_half_levels():
     # The edge values do sit on the edges, and each renders as the reference does.
     zeros = array("d", [0.0] * len(EDGE_BERS))
-    grid = BerGrid(SPEC, "inner", tuple(map(float, range(len(EDGE_BERS)))), (0.0,),
+    grid = BerGrid(PLANE_M, "inner", tuple(map(float, range(len(EDGE_BERS)))), (0.0,),
                    LinkColumns(zeros, zeros, zeros, zeros, zeros, zeros, array("d", EDGE_BERS)))
     assert grid_pgm_text(grid) == reference_pgm(grid)
     assert grid_pgm_text(grid).splitlines()[3] == "0 0 255 255 255 255 0 6 20 20"
@@ -160,5 +159,5 @@ def test_non_finite_error_rates():
     # renderer cannot take NaN or +-inf, so the pixels are pinned here.
     ber = array("d", [math.nan, -math.inf, -0.0, math.inf, 0.0, 1.0])
     zeros = array("d", [0.0] * len(ber))
-    grid = BerGrid(SPEC, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 6, ber))
+    grid = BerGrid(PLANE_M, "inner", (0.0, 1.0, 2.0), (0.0, 1.0), LinkColumns(*[zeros] * 6, ber))
     assert grid_pgm_text(grid) == "P2\n3 2\n255\n0 0 0\n255 0 255\n"

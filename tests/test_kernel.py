@@ -20,7 +20,6 @@ from ledid import (
     DetectorModel,
     EmitterModel,
     GeometryError,
-    GridSpec,
     Luminaire,
     ModulationParams,
     NoiseParams,
@@ -118,7 +117,7 @@ class TestEvaluatePoints:
     def test_grids_match_the_scalar_path(self, make, tags, plane_m):
         scenario = make()
         for tag in tags:
-            grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, plane_m, 11), tag)
+            grid = evaluate_grid(scenario, plane_m, 11, tag)
             points = [(x, y, 2.0 - plane_m) for y in grid.y_centers_m for x in grid.x_centers_m]
             columns = assert_matches_scalar(scenario, points, tag)
             assert grid.columns == columns
@@ -294,7 +293,7 @@ class TestGridColumns:
         # scenario's receiver axis, upright or tilted.
         for axis in (Vec3(0.0, 0.0, 1.0), Vec3(0.35, -0.2, 0.9).normalized()):
             scenario = shared_tag_scenario(receiver_axis=axis)
-            grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.7, 6), "odd")
+            grid = evaluate_grid(scenario, 0.7, 6, "odd")
             z = scenario.room.height_m - 0.7
             points = [(x, y, z) for y in grid.y_centers_m for x in grid.x_centers_m]
             gains = link.luminaire_gains(scenario, points)
@@ -305,20 +304,21 @@ class TestGridColumns:
                                          for lamp in scenario.luminaires)
 
     def test_columns_are_row_major(self):
+        # L1's lamps lie along x, so a grid with x and y swapped fails this
+        # at 50 cm (at 30 cm every cell such a swap moves is out of view).
         scenario = builtin_l1()
-        grid = evaluate_grid(scenario, GridSpec(0.3, (-1.0, 1.0), (-0.5, 0.5), 4), "inner")
+        grid = evaluate_grid(scenario, 0.5, 4, "inner")
         nx = len(grid.x_centers_m)
         for iy, y in enumerate(grid.y_centers_m):
             for ix, x in enumerate(grid.x_centers_m):
-                budget = evaluate_link(scenario, Vec3(x, y, 2.0 - 0.3), "inner")
+                budget = evaluate_link(scenario, Vec3(x, y, 2.0 - 0.5), "inner")
                 assert grid.columns.ber[iy * nx + ix] == budget.ber
 
     def test_grids_compare_by_value(self):
         scenario = builtin_g1()
-        spec = GridSpec.for_room(scenario.room, 0.4, 7)
-        first = evaluate_grid(scenario, spec, "n")
-        assert first == evaluate_grid(scenario, spec, "n")
-        assert first != evaluate_grid(scenario, spec, "s")
+        first = evaluate_grid(scenario, 0.4, 7, "n")
+        assert first == evaluate_grid(scenario, 0.4, 7, "n")
+        assert first != evaluate_grid(scenario, 0.4, 7, "s")
 
 
 class TestAnalysisThroughTheKernel:
@@ -529,7 +529,7 @@ class TestColumnReductions:
             int((np.count_nonzero(terms, axis=1) > 2).sum())) or row_sums(terms))
         monkeypatch.setattr(link, "_fsum_or_inf", lambda row: fallbacks.append(row) or fsum(row))
         for tag in ("t08", "t15"):
-            evaluate_grid(scenario, GridSpec.for_room(scenario.room, 1.2, 32), tag)
+            evaluate_grid(scenario, 1.2, 32, tag)
         assert sum(wide) > 4 * 32 * 32
         assert len(fallbacks) < 0.1 * sum(wide)
 

@@ -83,6 +83,14 @@ class TestMcBerBfsk:
         with pytest.raises(ParameterError):
             McConfig(snr=1.0, trials=10, seed=2 ** 64)
 
+    def test_bool_seed_raises(self):
+        # bool is an int subclass; True must not run as seed 1.
+        message = "seed must be a 64-bit unsigned integer, got True"
+        with pytest.raises(ParameterError, match=message):
+            McConfig(snr=1.0, trials=100, seed=True)
+        with pytest.raises(ParameterError, match=message):
+            agreement_report((0.0, 1.0), trials=100, seed=True)
+
 
 class TestAgreement:
     def test_estimates_monotone_in_snr(self):

@@ -7,9 +7,9 @@ import pytest
 from ledid import (
     DetectorModel,
     EmitterModel,
-    GridSpec,
     Luminaire,
     ParameterError,
+    PlaneOutsideRoomError,
     Pose,
     Room,
     Scenario,
@@ -68,10 +68,10 @@ CONSTRAINT_CASES = [
 ]
 
 
-def single_lamp_scenario():
+def single_lamp_scenario(room=Room(2.0, 2.0, 2.0)):
     emitter = EmitterModel(power_w=1.0, semi_angle_deg=20.0)
     return Scenario(
-        room=Room(2.0, 2.0, 2.0),
+        room=room,
         luminaires=(Luminaire("solo", Pose(Vec3(0.0, 0.0, 2.0), DOWN), emitter),),
         detector=DetectorModel(area_m2=1e-4, fov_deg=60.0, gain=1.3),
     )
@@ -252,21 +252,6 @@ class TestScenarioInvariants:
                      detector=DetectorModel(area_m2=1e-4, fov_deg=60.0, gain=1.3))
 
 
-class TestGridSpec:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            GridSpec(0.0, (-1.0, 1.0), (-1.0, 1.0), 8)
-        with pytest.raises(ParameterError):
-            GridSpec(0.3, (-1.0, 1.0), (-1.0, 1.0), 1)
-        with pytest.raises(ParameterError):
-            GridSpec(0.3, (1.0, -1.0), (-1.0, 1.0), 8)
-
-    def test_for_room_spans_footprint(self):
-        spec = GridSpec.for_room(Room(2.0, 3.0, 2.0), 0.3, 8)
-        assert spec.x_range == (-1.0, 1.0)
-        assert spec.y_range == (-1.5, 1.5)
-
-
 def cell(grid, iy, ix):
     """Cell ``(x_centers_m[ix], y_centers_m[iy])`` of every column, in field order."""
     i = iy * len(grid.x_centers_m) + ix
@@ -275,30 +260,42 @@ def cell(grid, iy, ix):
 
 class TestEvaluateGrid:
     def test_unknown_tag(self):
-        spec = GridSpec.for_room(builtin_l1().room, 0.3, 4)
         with pytest.raises(TagNotFoundError):
-            evaluate_grid(builtin_l1(), spec, "nope")
+            evaluate_grid(builtin_l1(), 0.3, 4, "nope")
 
-    def test_ranges_must_fit_the_room(self):
+    def test_validation(self):
         scenario = builtin_l1()
-        with pytest.raises(ScenarioValidationError):
-            evaluate_grid(scenario, GridSpec(0.3, (-2.0, 2.0), (-1.0, 1.0), 4), "inner")
-        with pytest.raises(ScenarioValidationError):
-            evaluate_grid(scenario, GridSpec(0.3, (-1.0, 1.0), (-1.0, 3.0), 4), "inner")
-        with pytest.raises(ScenarioValidationError):
-            evaluate_grid(scenario, GridSpec(2.5, (-1.0, 1.0), (-1.0, 1.0), 4), "inner")
+        for resolution in (1, True, 2.0):
+            with pytest.raises(ParameterError, match="resolution must be an integer >= 2"):
+                evaluate_grid(scenario, 0.3, resolution, "inner")
+        # Room.plane_z is the one rule for a plane distance: (0, height_m].
+        for plane_m in (0.0, -0.0, math.nan, 2.5):
+            message = f"plane distance must be in (0, 2.0] m, got {plane_m}"
+            with pytest.raises(PlaneOutsideRoomError, match=re.escape(message)):
+                evaluate_grid(scenario, plane_m, 4, "inner")
+        grid = evaluate_grid(scenario, 2.0, 4, "inner")  # the floor
+        assert grid.plane_distance_m == 2.0 and len(grid.columns.ber) == 16
+        with pytest.raises(TagNotFoundError):
+            evaluate_grid(scenario, 0.0, 1, "nope")
+
+    def test_spans_a_non_square_room(self):
+        # x follows width_m and y follows depth_m, at the centers of
+        # ``resolution`` equal cells per axis.
+        grid = evaluate_grid(single_lamp_scenario(Room(2.0, 3.0, 2.0)), 0.3, 4, "solo")
+        assert grid.x_centers_m == (-0.75, -0.25, 0.25, 0.75)
+        assert grid.y_centers_m == (-1.125, -0.375, 0.375, 1.125)
+        assert len(grid.columns.ber) == 16
 
     def test_two_by_two_corners_identical_for_centered_lamp(self):
         scenario = single_lamp_scenario()
-        grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.3, 2), "solo")
+        grid = evaluate_grid(scenario, 0.3, 2, "solo")
         bers = list(grid.columns.ber)
         assert len(bers) == 4
         assert bers[0] == bers[1] == bers[2] == bers[3]
 
     def test_cell_value_matches_direct_link_evaluation(self):
         scenario = builtin_l1()
-        spec = GridSpec.for_room(scenario.room, 0.3, 8)
-        grid = evaluate_grid(scenario, spec, "outer-left")
+        grid = evaluate_grid(scenario, 0.3, 8, "outer-left")
         iy, ix = 3, 2
         direct = evaluate_link(
             scenario,
@@ -311,14 +308,13 @@ class TestEvaluateGrid:
 
     def test_deterministic_across_runs(self):
         scenario = builtin_l1()
-        spec = GridSpec.for_room(scenario.room, 0.4, 12)
-        first = evaluate_grid(scenario, spec, "outer-left")
-        again = evaluate_grid(scenario, spec, "outer-left")
+        first = evaluate_grid(scenario, 0.4, 12, "outer-left")
+        again = evaluate_grid(scenario, 0.4, 12, "outer-left")
         assert first == again
 
     def test_mirror_symmetry_about_the_lamp_line(self):
         scenario = builtin_l1()
-        grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.3, 10), "outer-left")
+        grid = evaluate_grid(scenario, 0.3, 10, "outer-left")
         n = 10
         for iy in range(n):
             for ix in range(n):
@@ -330,7 +326,7 @@ class TestEvaluateGrid:
     def test_g1_center_tag_four_fold_symmetry(self):
         scenario = builtin_g1()
         n = 8
-        grid = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.3, n), "center")
+        grid = evaluate_grid(scenario, 0.3, n, "center")
         ber = grid.columns.ber
         for iy in range(n):
             for ix in range(n):
@@ -344,8 +340,8 @@ class TestEvaluateGrid:
         # (center sampling: fine column 3 i + 1 lands on coarse column i),
         # so refinement never changes sampled values.
         scenario = builtin_l1()
-        coarse = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.3, 5), "outer-left")
-        fine = evaluate_grid(scenario, GridSpec.for_room(scenario.room, 0.3, 15), "outer-left")
+        coarse = evaluate_grid(scenario, 0.3, 5, "outer-left")
+        fine = evaluate_grid(scenario, 0.3, 15, "outer-left")
         for i, x in enumerate(coarse.x_centers_m):
             assert fine.x_centers_m[3 * i + 1] == x
         for iy in range(5):
