@@ -258,10 +258,8 @@ def cell(grid, iy, ix):
     return tuple(getattr(grid.columns, f.name)[i] for f in dataclasses.fields(grid.columns))
 
 
-class TestEvaluateGrid:
-    def test_unknown_tag(self):
-        with pytest.raises(TagNotFoundError):
-            evaluate_grid(builtin_l1(), 0.3, 4, "nope")
+class TestGridSpec:
+    """The grid ``evaluate_grid`` is given: a plane distance and a resolution."""
 
     def test_validation(self):
         scenario = builtin_l1()
@@ -269,14 +267,27 @@ class TestEvaluateGrid:
             with pytest.raises(ParameterError, match="resolution must be an integer >= 2"):
                 evaluate_grid(scenario, 0.3, resolution, "inner")
         # Room.plane_z is the one rule for a plane distance: (0, height_m].
-        for plane_m in (0.0, -0.0, math.nan, 2.5):
+        for plane_m in (0.0, -0.0, math.nan):
             message = f"plane distance must be in (0, 2.0] m, got {plane_m}"
             with pytest.raises(PlaneOutsideRoomError, match=re.escape(message)):
                 evaluate_grid(scenario, plane_m, 4, "inner")
-        grid = evaluate_grid(scenario, 2.0, 4, "inner")  # the floor
-        assert grid.plane_distance_m == 2.0 and len(grid.columns.ber) == 16
         with pytest.raises(TagNotFoundError):
             evaluate_grid(scenario, 0.0, 1, "nope")
+
+
+class TestEvaluateGrid:
+    def test_unknown_tag(self):
+        with pytest.raises(TagNotFoundError):
+            evaluate_grid(builtin_l1(), 0.3, 4, "nope")
+
+    def test_ranges_must_fit_the_room(self):
+        # A grid spans the room's footprint, so only its plane can leave the room.
+        scenario = builtin_l1()
+        message = "plane distance must be in (0, 2.0] m, got 2.5"
+        with pytest.raises(PlaneOutsideRoomError, match=re.escape(message)):
+            evaluate_grid(scenario, 2.5, 4, "inner")
+        grid = evaluate_grid(scenario, 2.0, 4, "inner")  # the floor
+        assert grid.plane_distance_m == 2.0 and len(grid.columns.ber) == 16
 
     def test_spans_a_non_square_room(self):
         # x follows width_m and y follows depth_m, at the centers of
