@@ -28,7 +28,7 @@ from .errors import (
     TagNotFoundError,
 )
 from .export import grid_csv_text, grid_pgm_text, write_grid_csv, write_grid_pgm
-from .geometry import Pose, Vec3, link_geometry
+from .geometry import Pose, Vec3
 from .link import (
     LinkBudget,
     LinkColumns,
@@ -97,7 +97,6 @@ __all__ = [
     "grid_csv_text",
     "grid_pgm_text",
     "lambertian_order",
-    "link_geometry",
     "load_scenario",
     "load_scenario_file",
     "load_scenario_with_defaults",

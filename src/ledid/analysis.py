@@ -30,8 +30,7 @@ link model, the bound included, lives in ``link`` alone, and this module
 only searches. A probe that lands on a luminaire has no link budget and
 counts as failing. The off-axis angle is swept at half the maximum
 reliable distance with the receiver keeping the scenario's receiver
-orientation; both the measurement fraction and the threshold are explicit
-parameters.
+orientation; the threshold is an explicit parameter.
 """
 
 from __future__ import annotations
@@ -169,9 +168,10 @@ def scenario_critical_distance(scenario: Scenario) -> float:
     return critical_overlap_distance(spacing, widest)
 
 
-def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
-             angle_distance_fraction: float = 0.5) -> CoverageReport:
+def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> CoverageReport:
     """Maximum reliable on-axis distance and off-axis angle for one tag.
+
+    The angle is read at half the maximum reliable distance.
 
     The unbounded sentinel (inf, with the full 90 degree angle) is
     returned when no crossing is found below the search cap, and by
@@ -180,9 +180,6 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
     an L1 lamp at 1e-2).
     """
     _check_threshold(threshold)
-    if not 0.0 < angle_distance_fraction <= 1.0:
-        raise ParameterError(
-            f"angle distance fraction must be in (0, 1], got {angle_distance_fraction}")
     lamps = scenario.luminaires_for(tag_id)
     has_interferers = len(lamps) != len(scenario.luminaires)
     noise = scenario.noise
@@ -233,13 +230,13 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2,
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
     last = int(steps[passing][-1])
     if last == _SCAN_STEPS:
-        distance = _bracket_and_bisect(distances_pass, _SCAN_CAP_M)
+        distance = _bracket_and_bisect(distances_pass)
     else:
         distance = _bisect(distances_pass, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
     if math.isinf(distance):
         return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
 
-    radius = angle_distance_fraction * distance
+    radius = 0.5 * distance
 
     def angles_pass(angles_deg) -> np.ndarray:
         return passes(probes([radius], angles_deg))
@@ -275,10 +272,10 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
     return np.unique(np.concatenate(kept))
 
 
-def _bracket_and_bisect(passes, lo: float) -> float:
-    # Monotone case: lo passes; double out from it to the first failure,
+def _bracket_and_bisect(passes) -> float:
+    # Monotone case: the ladder's end passes; double out from it to the first failure,
     # then bisect to 1 mm. passes maps a list of distances to whether each passes.
-    hi = 2.0 * lo
+    lo, hi = _SCAN_CAP_M, 2.0 * _SCAN_CAP_M
     while passes([hi])[0]:
         lo = hi
         hi *= 2.0

@@ -1,4 +1,4 @@
-"""Vectors, poses, and the two viewing angles of an optical link.
+"""Vectors and poses.
 
 Coordinates are in meters with z vertical. Luminaires hang on a horizontal
 plane and face -z; receivers face +z unless their pose says otherwise, so
@@ -69,31 +69,3 @@ class Pose:
         if offset.norm() == 0.0:
             raise GeometryError("cannot aim a pose at its own position")
         return cls(position, offset.normalized())
-
-
-def _angle_between(axis: Vec3, direction: Vec3) -> float:
-    # atan2 of (cross magnitude, dot) is well conditioned at both 0 and pi,
-    # unlike acos of the normalized dot, which loses half the significand
-    # near alignment. It also cannot produce NaN for nonzero inputs.
-    cx = axis.y * direction.z - axis.z * direction.y
-    cy = axis.z * direction.x - axis.x * direction.z
-    cz = axis.x * direction.y - axis.y * direction.x
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-    return math.atan2(cross, axis.dot(direction))
-
-
-def link_geometry(tx: Pose, rx: Pose) -> tuple[float, float, float]:
-    """Distance and viewing angles between an emitter and a receiver.
-
-    Returns ``(d, theta, psi)``: the separation in meters, the angle between
-    the emitter axis and the emitter-to-receiver direction, and the angle
-    between the receiver axis and the receiver-to-emitter direction. Both
-    angles are in radians within [0, pi].
-
-    Raises GeometryError when the two positions coincide.
-    """
-    delta = rx.position - tx.position
-    d = delta.norm()
-    if d == 0.0:
-        raise GeometryError("emitter and receiver positions coincide")
-    return d, _angle_between(tx.axis, delta), _angle_between(rx.axis, delta.scaled(-1.0))

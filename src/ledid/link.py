@@ -177,7 +177,7 @@ class LuminaireArrays:
 
 def snr(signal_ms: float, interference_ms: float, noise_variance: float) -> float:
     """Signal-to-noise-plus-interference ratio with the edge conventions."""
-    if signal_ms < 0.0 or interference_ms < 0.0 or noise_variance < 0.0:
+    if not (signal_ms >= 0.0 and interference_ms >= 0.0 and noise_variance >= 0.0):
         raise ParameterError("signal, interference and noise must all be >= 0")
     if signal_ms == 0.0:
         return 0.0
@@ -189,7 +189,7 @@ def snr(signal_ms: float, interference_ms: float, noise_variance: float) -> floa
 
 def ber_bfsk(snr_value: float) -> float:
     """Bit error rate of non-coherently detected binary FSK at a given SNR."""
-    if snr_value < 0.0:
+    if not snr_value >= 0.0:
         raise ParameterError(f"SNR must be >= 0, got {snr_value}")
     if math.isinf(snr_value):
         return 0.0

@@ -129,9 +129,11 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
 
     Every point uses the same seed and is scored against the same draws
     (see the module docstring); each equals ``mc_ber_bfsk`` at its SNR bit
-    for bit. Every SNR is checked before anything is drawn.
+    for bit. ``trials``, ``seed`` and every SNR are checked before anything is drawn.
     """
     configs = [McConfig(snr=snr, trials=trials, seed=seed) for snr in snr_values]
+    if not configs:
+        McConfig(snr=0.0, trials=trials, seed=seed)
     points = []
     for config, errors in zip(configs, _error_counts(snr_values, trials, seed)):
         analytic = ber_bfsk(config.snr)

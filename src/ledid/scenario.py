@@ -169,13 +169,11 @@ class BerGrid:
     columns: LinkColumns
 
 
-def _cell_centers(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    # (2i + 1 - n) / (2n) is an exact-negation ladder, so a symmetric range
-    # yields exactly mirrored center coordinates; the grid symmetry
-    # guarantees rely on this.
-    mid = 0.5 * (lo + hi)
-    span = hi - lo
-    return tuple(mid + ((2 * i + 1 - n) / (2 * n)) * span for i in range(n))
+def _cell_centers(span: float, n: int) -> tuple[float, ...]:
+    # (2i + 1 - n) / (2n) is an exact-negation ladder, so the centers of a
+    # span centered on 0 are exactly mirrored; the grid symmetry guarantees
+    # rely on this.
+    return tuple(((2 * i + 1 - n) / (2 * n)) * span for i in range(n))
 
 
 def evaluate_grid(scenario: Scenario, plane_distance_m: float, resolution: int, data_tag_id: str) -> BerGrid:
@@ -192,8 +190,8 @@ def evaluate_grid(scenario: Scenario, plane_distance_m: float, resolution: int, 
         raise ParameterError(f"resolution must be an integer >= 2, got {resolution}")
     room = scenario.room
     z = room.plane_z(plane_distance_m)
-    xs = _cell_centers(-0.5 * room.width_m, 0.5 * room.width_m, resolution)
-    ys = _cell_centers(-0.5 * room.depth_m, 0.5 * room.depth_m, resolution)
+    xs = _cell_centers(room.width_m, resolution)
+    ys = _cell_centers(room.depth_m, resolution)
     cells = len(xs) * len(ys)
     points = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs)), np.full(cells, z)))
     return BerGrid(plane_distance_m=plane_distance_m, tag_id=data_tag_id, x_centers_m=xs, y_centers_m=ys,

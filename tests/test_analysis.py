@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -263,12 +264,6 @@ class TestCoverage:
         with pytest.raises(ParameterError):
             coverage(builtin_l1(), "inner", threshold=0.0)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.5])
-    def test_angle_distance_fraction_validation(self, fraction):
-        with pytest.raises(ParameterError,
-                           match=rf"^angle distance fraction must be in \(0, 1\], got {fraction}$"):
-            coverage(builtin_l1(), "inner", angle_distance_fraction=fraction)
-
     def test_right_angle_probe_that_passes(self):
         # A second lamp of the tag, 0.8 m aside and 1 m higher, lights the
         # point 90 degrees off the first lamp's axis at half the distance.
@@ -352,17 +347,19 @@ class TestProbeOnALamp:
         assert evaluate_link(scenario, Vec3(0.0, 0.0, 3.0 - 1.01), "top").ber > 1e-2
 
     def test_right_angle_probe_on_the_next_lamp(self):
-        # Measured at 16 cm from the outer-left lamp, the 90 degree probe is
-        # the inner lamp itself.
-        scenario = builtin_l1()
-        distance = coverage(scenario, "outer-left").max_reliable_distance_m
-        fraction = 0.16 / distance
-        assert fraction * distance == 0.16
+        # An up-facing lamp on the ceiling at the outer-left tag's 90 degree
+        # probe lights no probe below it, so the distance stays; the probe on
+        # it has no link budget and fails.
+        l1 = builtin_l1()
+        distance = coverage(l1, "outer-left").max_reliable_distance_m
         a = math.radians(90.0)
         direction = Vec3(0.0, 0.0, -1.0).scaled(math.cos(a)) + Vec3(1.0, 0.0, 0.0).scaled(math.sin(a))
+        probe = Vec3(-0.16, 0.0, 2.0) + direction.scaled(0.5 * distance)
+        lamp = Luminaire("up", Pose(probe, Vec3(0.0, 0.0, 1.0)), EmitterModel(power_w=1.0, semi_angle_deg=60.0))
+        scenario = dataclasses.replace(l1, luminaires=l1.luminaires + (lamp,))
         with pytest.raises(GeometryError):
-            evaluate_link(scenario, Vec3(-0.16, 0.0, 2.0) + direction.scaled(0.16), "outer-left")
-        report = coverage(scenario, "outer-left", angle_distance_fraction=fraction)
+            evaluate_link(scenario, probe, "outer-left")
+        report = coverage(scenario, "outer-left")
         assert report.max_reliable_distance_m == distance
         assert 0.0 < report.max_reliable_angle_deg < 90.0
 

@@ -105,6 +105,11 @@ class TestSnr:
         with pytest.raises(ParameterError):
             snr(1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("inputs", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.nan)])
+    def test_nan_inputs_raise(self, inputs):
+        with pytest.raises(ParameterError, match="^signal, interference and noise must all be >= 0$"):
+            snr(*inputs)
+
     def test_interference_limited_two_lamp_ratio(self):
         # Gain ratio of the 16 cm neighbour at the 40 cm plane, by hand.
         m = -math.log(2.0) / math.log(math.cos(math.radians(20.0)))
@@ -138,6 +143,10 @@ class TestBerBfsk:
     def test_negative_snr_raises(self):
         with pytest.raises(ParameterError):
             ber_bfsk(-0.1)
+
+    def test_nan_snr_raises(self):
+        with pytest.raises(ParameterError, match="^SNR must be >= 0, got nan$"):
+            ber_bfsk(math.nan)
 
     @given(a=st.floats(min_value=0.0, max_value=60.0), b=st.floats(min_value=0.0, max_value=60.0))
     def test_strictly_decreasing_and_in_range(self, a, b):

@@ -91,6 +91,15 @@ class TestMcBerBfsk:
         with pytest.raises(ParameterError, match=message):
             agreement_report((0.0, 1.0), trials=100, seed=True)
 
+    def test_no_snr_still_checks_trials_and_seed(self):
+        with pytest.raises(ParameterError, match="^trials must be a positive integer, got 0$"):
+            agreement_report((), 0, 5)
+        with pytest.raises(ParameterError, match="^seed must be a 64-bit unsigned integer, got -1$"):
+            agreement_report((), 10, -1)
+        with pytest.raises(ParameterError, match="^seed must be a 64-bit unsigned integer, got True$"):
+            agreement_report((), 10, True)
+        assert agreement_report((), 10, 5) == ()
+
 
 class TestAgreement:
     def test_estimates_monotone_in_snr(self):
