@@ -17,8 +17,9 @@ interferer, or a second lamp of the same tag whose beam crosses the ray
 further down and lights it up again. So every layout, a lone lamp
 included, answers from one search: a ladder of 1 cm steps out to 100 m,
 whose last passing step is refined by bisection; when the last step still
-passes, bracketing doubles out from 100 m (first probe 200 m) before the
-bisection. The ladder is bounded
+passes, the bisection's bracket doubles out from 100 m (first probe 200 m)
+instead, and a ray that passes until it would probe past 1,000 km reads
+unbounded. The ladder is bounded
 run by run (interval branch and bound): ``link.segments_may_pass`` rules
 out each run whose SNR bound stays below the threshold's, any other run is
 split in eight, and the steps of the runs left go through
@@ -216,25 +217,27 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
 
     # Interference can make the error rate dip and rise along the ray, so
     # refine the ladder's last passing step. Past the ladder's end every
-    # lamp is far off, and bracketing goes on from it.
+    # lamp is far off: double out from it to the first failure.
     steps = _ladder_candidates(scenario, tag_id, probes, threshold)
     try:
         passing = distances_pass(steps * _SCAN_STEP_M)
     except ParameterError:
         # A failing step 1 answers 0 even where a later step's budget
         # overflows; step 1 alone raises its own overflow, as the batch would.
-        if not distances_pass([_SCAN_STEP_M])[0]:
-            return CoverageReport(tag_id, 0.0, 0.0, threshold)
-        raise
+        passing = distances_pass([_SCAN_STEP_M])
+        if passing[0]:
+            raise
     if not passing[0]:  # step 1
         return CoverageReport(tag_id, 0.0, 0.0, threshold)
     last = int(steps[passing][-1])
+    lo, hi = last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M
     if last == _SCAN_STEPS:
-        distance = _bracket_and_bisect(distances_pass)
-    else:
-        distance = _bisect(distances_pass, last * _SCAN_STEP_M, (last + 1) * _SCAN_STEP_M, _DISTANCE_TOL_M)
-    if math.isinf(distance):
-        return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
+        hi = 2.0 * lo
+        while distances_pass([hi])[0]:
+            lo, hi = hi, 2.0 * hi
+            if hi > _BRACKET_CAP_M:
+                return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
+    distance = _bisect(distances_pass, lo, hi, _DISTANCE_TOL_M)
 
     radius = 0.5 * distance
 
@@ -270,18 +273,6 @@ def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float
         cuts = first[:, None] + (last - first + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
         runs = np.column_stack((cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1))
     return np.unique(np.concatenate(kept))
-
-
-def _bracket_and_bisect(passes) -> float:
-    # Monotone case: the ladder's end passes; double out from it to the first failure,
-    # then bisect to 1 mm. passes maps a list of distances to whether each passes.
-    lo, hi = _SCAN_CAP_M, 2.0 * _SCAN_CAP_M
-    while passes([hi])[0]:
-        lo = hi
-        hi *= 2.0
-        if hi > _BRACKET_CAP_M:
-            return UNBOUNDED
-    return _bisect(passes, lo, hi, _DISTANCE_TOL_M)
 
 
 def _bisect(passes, lo: float, hi: float, tol: float) -> float:

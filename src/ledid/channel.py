@@ -29,13 +29,16 @@ from .geometry import Pose
 def lambertian_order(semi_angle_deg: float) -> float:
     """Lambertian order m for a half-power semi-angle in degrees.
 
-    The semi-angle must lie strictly between 0 and 90 degrees; at either
-    end the defining logarithm is singular.
+    The semi-angle must lie strictly between 0 and 90 degrees, and its cosine
+    must not round to 1 (below about 6e-7 degrees): there the logarithm is 0.
     """
     if not 0.0 < semi_angle_deg < 90.0:
         raise ParameterError(
             f"semi_angle_deg: must be in (0, 90) degrees, got {semi_angle_deg}")
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
+    cos_t = math.cos(math.radians(semi_angle_deg))
+    if cos_t == 1.0:
+        raise ParameterError(f"semi_angle_deg: too small for a finite Lambertian order, got {semi_angle_deg}")
+    return -math.log(2.0) / math.log(cos_t)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = evaluate_grid(scenario, plane_m, args.res, args.tag)
         csv_path = out_dir / name
         # Summary: min and median of the error rate at the foot of each lamp.
-        bers = foot_bers(scenario, plane_cm / 100.0, args.tag)
+        bers = foot_bers(scenario, plane_m, args.tag)
         planes.append((grid, csv_path, f"plane_cm={plane_cm:g} csv={csv_path} min_ber={min(bers)!r} "
                                        f"median_ber={statistics.median(bers)!r}"))
     out_dir.mkdir(parents=True, exist_ok=True)

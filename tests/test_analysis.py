@@ -75,7 +75,7 @@ class TestCriticalOverlap:
     def test_forty_five_degrees_is_identity(self):
         assert critical_overlap_distance(0.16, 45.0) == pytest.approx(0.16, rel=1e-12)
 
-    @pytest.mark.parametrize("bad_angle", [0.0, 90.0, 95.0, -10.0])
+    @pytest.mark.parametrize("bad_angle", [0.0, 90.0, 95.0, -10.0, 1.0e-7])
     def test_invalid_semi_angle(self, bad_angle):
         with pytest.raises(ParameterError):
             critical_overlap_distance(0.16, bad_angle)
@@ -253,6 +253,13 @@ class TestCoverage:
 
         assert ber_on_axis(d) <= 1e-2
         assert ber_on_axis(d + 2e-3) > 1e-2
+
+    def test_read_past_the_ladder_end_is_pinned(self):
+        # A lone lamp with little noise still passes at the ladder's 100 m
+        # end; the bracket doubles out to 3200 m before the bisection.
+        report = coverage(single_lamp_scenario(NoiseParams(thermal_a2=1e-22)), "solo")
+        assert report.max_reliable_distance_m.hex() == "0x1.ced8610000000p+10"
+        assert report.max_reliable_angle_deg.hex() == "0x1.ace8000000000p+4"
 
     def test_hopeless_noise_gives_zero_distance(self):
         scenario = single_lamp_scenario(NoiseParams(background_current_a=1e18))

@@ -38,7 +38,8 @@ class TestLambertianOrder:
         # Frozen from an independent evaluation of -ln 2 / ln(cos 20 deg).
         assert lambertian_order(20.0) == pytest.approx(11.143405279234123, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, 90.0, -5.0, 120.0])
+    # Below about 6.04e-7 degrees the cosine rounds to 1 and its logarithm is 0.
+    @pytest.mark.parametrize("bad", [0.0, 90.0, -5.0, 120.0, 1.0e-7, 6.0e-7, 5e-324])
     def test_out_of_domain_raises(self, bad):
         with pytest.raises(ParameterError):
             lambertian_order(bad)

@@ -69,6 +69,17 @@ class TestValidate:
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_unreadable_file_is_a_usage_error(self, capsys, monkeypatch):
+        # A permission bit does not stop root, so the read itself is made to fail.
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("ledid.cli.read_scenario_text", refuse)
+        assert main(["validate", L1_PATH]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot read scenario file: [Errno 13] Permission denied: '{L1_PATH}'\n"
+
     def test_unparseable_document_exits_one(self, tmp_path):
         doc = tmp_path / "garbage.yaml"
         doc.write_text("room: [unclosed")
@@ -135,6 +146,12 @@ class TestInputContract:
         assert "error: link budget overflows:" in err
         assert "RuntimeWarning" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("semi", ["1.0e-7", "5.0e-324"])
+    def test_semi_angle_too_small_for_an_order_names_the_key(self, tmp_path, capsys, semi):
+        doc = SINGLE_LAMP_DOC.replace("semi_angle_deg: 20.0", f"semi_angle_deg: {semi}")
+        err = self._fails(tmp_path, capsys, doc, "validate")
+        assert f"error: luminaire[0].semi_angle_deg: too small for a finite Lambertian order, got {float(semi)}" in err
 
     def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
         doc = "a: " + "[" * 1000 + "]" * 1000 + "\n" + SINGLE_LAMP_DOC
@@ -615,6 +632,13 @@ class TestMcVerify:
 
     def test_zero_trials_is_a_usage_error(self):
         assert main(["mc-verify", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, capsys, seed):
+        assert main(["mc-verify", "--trials", "10", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --seed must be a 64-bit unsigned integer, got {seed}\n"
 
     def test_empty_snr_list_is_a_usage_error(self):
         assert main(["mc-verify", "--snr-list", " "]) == 2
