@@ -112,4 +112,19 @@ def channel_gain(tx: Pose, emitter: EmitterModel, rx: Pose, detector: DetectorMo
     if cos_psi < detector.cos_fov or cos_theta <= 0.0:
         return 0.0
     m = emitter.lambertian_order
-    return (m + 1.0) * detector.area_m2 * cos_theta ** m * cos_psi * detector.gain / (2.0 * math.pi * d * d)
+    return ((m + 1.0) * detector.area_m2 * cos_power(cos_theta, m) * cos_psi * detector.gain
+            / (2.0 * math.pi * d * d))
+
+
+def cos_power(cos_theta: float, order: float) -> float:
+    """cos(theta)^m by the C library's pow, as float ``**`` computes it, or inf where it overflows.
+
+    An axis within ``AXIS_TOL`` of unit length but longer gives an on-axis
+    cosine just above 1, which a huge order (a semi-angle near 1e-5 degrees)
+    raises past the largest float. The gain is then inf, and the link budget
+    rejects it as a ParameterError.
+    """
+    try:
+        return math.pow(cos_theta, order)
+    except OverflowError:
+        return math.inf

@@ -31,8 +31,9 @@ it returns is bit-identical to the scalar one:
 * The one transcendental is the C library's ``pow`` for cos(theta)^m,
   which float ``**`` calls too, here as ``math.pow`` on Python floats for
   the lit pairs only, where both cosines are positive or nan (a negative
-  base would raise). numpy's ``power`` and
-  ``exp`` differ from the C library in the last bit on some inputs and
+  base would raise). Both paths give ``channel.cos_power``'s value, inf
+  where it overflows, for ``_check_budget``. numpy's ``power``
+  and ``exp`` differ from the C library in the last bit on some inputs and
   machines, so neither is used.
 * Sums over luminaires are the scalar path's ``math.fsum``, bit for bit.
   Every term is >= 0, so a point with at most two nonzero terms sums
@@ -63,7 +64,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import channel_gain
+from .channel import channel_gain, cos_power
 from .errors import GeometryError, ParameterError, check_positive_finite
 from .geometry import Pose, Vec3
 from .noise import total_noise_variance
@@ -382,9 +383,15 @@ def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power) -> np.ndarray:
 
 
 def _float_pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # The C library's pow on Python floats, as float ** calls it: numpy's
-    # power may differ from it in the last bit (see the module docstring).
-    return np.fromiter(map(math.pow, base.tolist(), exponent.tolist()), float, len(base))
+    # channel.cos_power of each pair, the C library's pow on Python floats:
+    # numpy's power may differ from it in the last bit (see the module
+    # docstring). math.pow maps the block, at half cos_power's cost a value;
+    # only a block where it overflows takes cos_power, for its inf.
+    bases, exponents = base.tolist(), exponent.tolist()
+    try:
+        return np.fromiter(map(math.pow, bases, exponents), float, len(bases))
+    except OverflowError:
+        return np.fromiter(map(cos_power, bases, exponents), float, len(bases))
 
 
 def _signal_terms(scenario: "Scenario", h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +411,7 @@ def _check_budget(received_power, signal_ms, interference_ms, noise_variance) ->
                         ("interference", interference_ms), ("noise", noise_variance)):
         if not np.isfinite(value).all():
             raise ParameterError(f"link budget overflows: {name} is not finite "
-                                 f"(power_w or detector values too large)")
+                                 f"(power_w, detector values or Lambertian order too large)")
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:

@@ -21,13 +21,22 @@ independent of batching. The transform's ``np.log1p``, ``np.cos`` and
 ``np.sin`` may take SIMD paths that differ from the C library in the last
 bit, so other hardware may give other last digits.
 
-Trials are drawn, transformed and scored in blocks of ``_BATCH_TRIALS``,
-so memory is fixed whatever the number of trials. All points of one
-``agreement_report`` share the seed, so the report draws each block of
-uniforms and computes g1..g4 once, then scores every SNR against those
-same draws before it draws the next block; only (a + g1)^2 + g2^2 depends
-on the SNR. Each point is bit-identical to ``mc_ber_bfsk`` run alone at
-its SNR.
+Trials are drawn and scored in blocks of ``_BATCH_TRIALS``, so memory is
+fixed whatever the number of trials. All points of one ``agreement_report``
+share the seed, so the report draws each block of uniforms once and scores
+every SNR against those same draws before it draws the next block. Each
+point is bit-identical to ``mc_ber_bfsk`` run alone at its SNR.
+
+Every trial computes L1 = -2 ln(1 - u0), L2 = -2 ln(1 - u2) and
+g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``.
+As g1^2 + g2^2 = L1 and g3^2 + g4^2 = L2, the wrong branch beats the
+correct one by q - v, with q = L2 - L1 and v = a (a + 2 g1), up to
+rounding and the error of ``sin`` and ``cos``, far less than the margin
+``_TIE_MARGIN`` (its comment gives the bound). A trial whose q - v lies
+outside that margin is decided by its sign, which is the comparison's
+own. Only the trials within it compute g2, g3 and g4 and take the
+comparison above; a default run has none. So every count equals the one
+the comparison of every trial gives, for about half the work.
 """
 
 from __future__ import annotations
@@ -41,11 +50,29 @@ import numpy as np
 from .errors import ParameterError
 from .link import ber_bfsk
 
-# Trials per block: about 14 float64 temporaries of this length (1.8 MiB)
-# stay within a 2 MiB L2. 2^12 .. 2^16 took 42.5, 40.0, 34.4, 34.8 and
-# 37.2 ms (minima of 15 seven-SNR reports of 250,000 trials on a 2-vCPU
-# Xeon), 2^20 took 52.1 ms.
+# Trials per block: the uniforms and the _WORK_ROWS rows, 11 floats a trial
+# (1.4 MiB), stay within a 2 MiB L2. 2^12 .. 2^16 took 17.3, 16.0, 15.6,
+# 15.2 and 16.5 ms (the least of three fresh processes' minima of 30
+# seven-SNR reports of 250,000 trials, on a 2-vCPU Xeon with numpy 2.4).
 _BATCH_TRIALS = 1 << 14
+
+# Relative margin of _score_block's certified decisions (see the module
+# docstring). Both paths use the same bits of L1, L2 and g1. numpy's sin
+# and cos are good to a few ulps and take one phase, so the exact path's
+# g1^2 + g2^2 and wrong branch are within about 20 eps of L1 and L2
+# (eps = 2^-53); each other rounding of either path is at most eps times a
+# magnitude below S = L2 + 2 L1 + (a + |g1|)^2. So the two values of
+# wrong - correct differ by under 30 eps S, about 3e-15 S, and a trial
+# whose q - v is further than 1e-9 S from 0 (S taken at the largest finite
+# amplitude, which only widens it) gets the exact path's decision, with
+# room for trig errors of 10^5 ulps. The generator draws each u as 0 or at
+# least 2^-53, so unless u0 = u2 = 0, S >= 2^-52, far above underflow
+# (2^-1075 a rounding); if u0 = u2 = 0, g1 = g2 = 0 and both paths compare
+# 0 with the same a * a.
+_TIE_MARGIN = 1e-9
+
+# Block-length float rows that _score_block computes in.
+_WORK_ROWS = 7
 
 
 @dataclass(frozen=True)
@@ -77,35 +104,86 @@ def mc_ber_bfsk(config: McConfig) -> tuple[float, float]:
 
 def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
     # Errors out of ``trials`` at each SNR. Every SNR is scored against the
-    # same batches of draws, so trial i sees the same g1..g4 at every point.
+    # same blocks of draws, so trial i sees the same g1..g4 at every point.
+    # The block arrays serve the whole run: fresh arrays per block would go
+    # back to the system between blocks (glibc trims the heap) and cost
+    # about 440 page faults a block to touch again.
     rng = np.random.Generator(np.random.Philox(seed))
     amplitudes = [math.sqrt(2.0 * snr) for snr in snrs]
     errors = [0] * len(snrs)
-    remaining = trials if snrs else 0
-    while remaining > 0:
-        n = min(remaining, _BATCH_TRIALS)
-        g1, g2_squared, wrong = _noise_terms(rng.random((n, 4)))
-        for k, amplitude in enumerate(amplitudes):
-            correct = (amplitude + g1) ** 2 + g2_squared
-            errors[k] += int(np.count_nonzero(wrong > correct))
-        remaining -= n
+    block = min(trials, _BATCH_TRIALS)
+    u, work = np.empty((block, 4)), np.empty((_WORK_ROWS, block))
+    for start in range(0, trials if snrs else 0, block):
+        n = min(block, trials - start)
+        rng.random(out=u[:n])
+        for k, count in enumerate(_score_block(u[:n], amplitudes, work[:, :n])):
+            errors[k] += count
     return errors
 
 
+def _score_block(u: np.ndarray, amplitudes: Sequence[float], work: np.ndarray) -> list[int]:
+    # Errors among the trials of one block of uniform rows at each amplitude,
+    # each count equal to scoring every row by _noise_terms (see the module
+    # docstring): rows whose decision the margin certifies are counted from
+    # v = a (a + 2 g1) against q = L2 - L1; the rest go to _noise_terms.
+    # ``work`` is (_WORK_ROWS, len(u)) floats for the block's arrays.
+    l1, l2, g1, error_below, clear_above, twice_g1, v = work
+    _radius_squared(u[:, 0], out=l1, scratch=v)
+    _radius_squared(u[:, 2], out=l2, scratch=v)
+    _gaussian(l1, u[:, 1], np.cos, out=g1, scratch=v)
+    a_max = max((a for a in amplitudes if a < math.inf), default=0.0)
+    counts = []
+    # A slack or v past the largest float is inf: the rows go to _noise_terms,
+    # or v = inf certifies no error, as (a + g1)^2 = inf does there.
+    with np.errstate(over="ignore"):
+        # slack = margin (L2 + 2 L1 + (a_max + |g1|)^2), in v; the bounds are q -/+ slack.
+        slack = np.abs(g1, out=v)
+        slack += a_max
+        slack *= slack
+        slack += l2
+        slack += l1
+        slack += l1
+        slack *= _TIE_MARGIN
+        np.subtract(l2, l1, out=clear_above)
+        np.subtract(clear_above, slack, out=error_below)
+        clear_above += slack
+        np.multiply(g1, 2.0, out=twice_g1)
+        for a in amplitudes:
+            np.add(twice_g1, a, out=v)
+            v *= a
+            errors = np.count_nonzero(v < error_below)
+            if np.count_nonzero(v <= clear_above) > errors:
+                exact_g1, g2_squared, wrong = _noise_terms(u[(v >= error_below) & (v <= clear_above)])
+                errors += np.count_nonzero(wrong > (a + exact_g1) ** 2 + g2_squared)
+            counts.append(int(errors))
+    return counts
+
+
 def _noise_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The SNR-independent parts of the detector for one batch of uniforms:
-    # g1, g2^2 and the wrong branch g3^2 + g4^2.
-    g1, g2 = _box_muller(u[:, 0], u[:, 1])
-    g3, g4 = _box_muller(u[:, 2], u[:, 3])
-    return g1, g2 ** 2, g3 ** 2 + g4 ** 2
+    # The exact detector's SNR-independent terms for rows of uniforms: g1,
+    # g2^2 and the wrong branch g3^2 + g4^2.
+    l1, l2 = _radius_squared(u[:, 0]), _radius_squared(u[:, 2])
+    g3, g4 = _gaussian(l2, u[:, 3], np.cos), _gaussian(l2, u[:, 3], np.sin)
+    return _gaussian(l1, u[:, 1], np.cos), _gaussian(l1, u[:, 1], np.sin) ** 2, g3 ** 2 + g4 ** 2
 
 
-def _box_muller(u_radius: np.ndarray, u_phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # log1p(-u) maps [0, 1) onto (0, 1] so the transform never sees log(0).
-    # -u and 2 pi u are new contiguous arrays, so every block takes the same SIMD loops.
-    radius = np.sqrt(-2.0 * np.log1p(-u_radius))
-    phase = 2.0 * np.pi * u_phase
-    return radius * np.cos(phase), radius * np.sin(phase)
+def _radius_squared(u_radius: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    # The squared Box-Muller radius -2 ln(1 - u). log1p(-u) maps [0, 1) onto
+    # (0, 1] so the transform never sees log(0). Both transform functions
+    # write into ``out`` and ``scratch`` where given, else into new arrays,
+    # with the same bits: log1p, cos and sin always read one contiguous
+    # array and write another, so every call takes the same SIMD loops, and
+    # *, sqrt round exactly whatever loop runs them.
+    radius_squared = np.log1p(np.negative(u_radius, out=scratch), out=out)
+    radius_squared *= -2.0
+    return radius_squared
+
+
+def _gaussian(radius_squared: np.ndarray, u_phase: np.ndarray, trig, out=None, scratch=None) -> np.ndarray:
+    # One Gaussian of a Box-Muller pair, sqrt(L) trig(2 pi u), with trig np.cos or np.sin.
+    gaussian = trig(np.multiply(u_phase, 2.0 * np.pi, out=scratch), out=out)
+    gaussian *= np.sqrt(radius_squared, out=scratch)
+    return gaussian
 
 
 def _estimate(errors: int, trials: int) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -663,6 +664,24 @@ class TestMcVerify:
     def test_infinite_snr_is_scored(self, capsys):
         assert main(["mc-verify", "--snr-list", "inf", "--trials", "1000", "--seed", "3"]) == 0
         assert "snr=inf analytic=0.0 estimate=0.0 std_error=0.0 pass" in capsys.readouterr().out
+
+    def test_extreme_snrs_print_the_pinned_report_without_a_warning(self, capsys):
+        # 8.988465674311579e307 is the largest SNR with a finite amplitude, whose
+        # square is within 2 ulps of the largest float; 20,000 trials span two blocks.
+        args = ["mc-verify", "--snr-list", "0,8e307,inf,0,8.988465674311579e307", "--trials", "20000",
+                "--seed", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "snr=0 analytic=0.5 estimate=0.5089 std_error=0.0035349737622788657 pass\n"
+            "snr=8e+307 analytic=0.0 estimate=0.0 std_error=0.0 pass\n"
+            "snr=inf analytic=0.0 estimate=0.0 std_error=0.0 pass\n"
+            "snr=0 analytic=0.5 estimate=0.5089 std_error=0.0035349737622788657 pass\n"
+            "snr=8.98847e+307 analytic=0.0 estimate=0.0 std_error=0.0 pass\n"
+            "agreement=5/5 ok=yes\n")
 
 
 class TestClosedStdout:

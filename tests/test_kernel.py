@@ -198,6 +198,20 @@ class TestEvaluatePoints:
         with pytest.raises(ParameterError, match=message):
             evaluate_points(scenario, [(0.3, 0.0, 1.5), (0.0, 0.0, 1.5)], "a")
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda scenario: evaluate_link(scenario, Vec3(0.0, 0.0, 1.0), "a"),
+        lambda scenario: evaluate_points(scenario, [(0.5, 0.0, 1.0), (0.0, 0.0, 1.0)], "a"),
+    ], ids=["scalar", "kernel"])
+    def test_cosine_power_past_the_largest_float_is_a_parameter_error(self, evaluate):
+        # The axis passes Pose's unit-length tolerance, so on axis cos(theta) =
+        # 1 + 5e-10, and the order of a 1e-5 degree semi-angle (4.6e13) raises
+        # it past the largest float: an infinite gain, not an OverflowError.
+        lamp = Luminaire("a", Pose(Vec3(0.0, 0.0, 2.0), Vec3(0.0, 0.0, -(1.0 + 5e-10))),
+                         EmitterModel(power_w=1.0, semi_angle_deg=1e-5))
+        scenario = Scenario(room=Room(2.0, 2.0, 2.0), luminaires=(lamp,), detector=DET)
+        with pytest.raises(ParameterError, match="received power is not finite"):
+            evaluate(scenario)
+
     def test_geometry_overflow_is_not_silenced(self):
         # Only the gain and power products may overflow quietly; a squared
         # distance past the largest float still warns.

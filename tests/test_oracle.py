@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,79 @@ class TestBlockBoundaries:
             alone = [mc_ber_bfsk(McConfig(snr=snr, trials=trials, seed=17))[0] for snr in self.SNRS]
             assert alone == expected, trials
             assert [p.estimate for p in agreement_report(self.SNRS, trials, 17)] == expected, trials
+
+
+def exact_errors(u, amplitude):
+    """Errors among rows of uniforms, every row scored by the documented construction."""
+    r1 = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    g1 = r1 * np.cos(2.0 * np.pi * u[:, 1])
+    g2 = r1 * np.sin(2.0 * np.pi * u[:, 1])
+    r2 = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
+    g3 = r2 * np.cos(2.0 * np.pi * u[:, 3])
+    g4 = r2 * np.sin(2.0 * np.pi * u[:, 3])
+    with np.errstate(over="ignore"):
+        return int(np.count_nonzero(g3 ** 2 + g4 ** 2 > (amplitude + g1) ** 2 + g2 ** 2))
+
+
+def score_block(u, amplitudes):
+    return oracle._score_block(u, amplitudes, np.empty((oracle._WORK_ROWS, len(u))))
+
+
+class TestCertifiedScoring:
+    """Trials decided from g1 alone count as the comparison of every trial does."""
+
+    SNR_LISTS = [(0.0, 2.0, 0.0, 6.0), (16.0, 0.0, 4.0, 4.0, math.inf, 2.5),
+                 (8e307, 0.0, math.inf, 8.988465674311579e307, 1.0)]
+
+    @staticmethod
+    def _exact_rows(monkeypatch):
+        # The number of rows each call of the exact path scores.
+        seen = []
+        noise_terms = oracle._noise_terms
+
+        def recording(u):
+            seen.append(len(u))
+            return noise_terms(u)
+
+        monkeypatch.setattr(oracle, "_noise_terms", recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_counts_equal_the_exact_construction(self, monkeypatch, seed):
+        # 10 seeds x 8 trial counts x 3 SNR lists: 240 cases, on both sides of
+        # the boundaries of 97-trial blocks.
+        monkeypatch.setattr(oracle, "_BATCH_TRIALS", 97)
+        for trials in (1, 96, 97, 98, 193, 194, 195, 1_000):
+            u = np.random.Generator(np.random.Philox(seed)).random((trials, 4))
+            for snrs in self.SNR_LISTS:
+                expected = [exact_errors(u, math.sqrt(2.0 * snr)) for snr in snrs]
+                assert oracle._error_counts(snrs, trials, seed) == expected, (trials, snrs)
+
+    def test_near_ties_equal_the_exact_construction(self, monkeypatch):
+        # At SNR 0 a row with u2 = u0 and u3 = u1 is an exact tie, which is no
+        # error; its float neighbours differ from a tie by about one rounding.
+        pairs = np.random.Generator(np.random.Philox(2024)).random((400, 2))
+        pairs = np.concatenate([pairs, [[0.5, 0.25], [0.5, 0.75], [0.25, 0.5], [0.75, 0.0]]])
+        rows = np.array([(u0, u1, u2, u3) for u0, u1 in pairs
+                         for u2 in (np.nextafter(u0, 0.0), u0, np.nextafter(u0, 1.0))
+                         for u3 in (np.nextafter(u1, 0.0), u1, np.nextafter(u1, 1.0))])
+        ties = (rows[:, 2] == rows[:, 0]) & (rows[:, 3] == rows[:, 1])
+        seen = self._exact_rows(monkeypatch)
+        assert score_block(rows[ties], [0.0]) == [0]
+        assert seen == [ties.sum()]
+        assert score_block(rows, [0.0]) == [exact_errors(rows, 0.0)]
+
+    def test_overflowing_slack_scores_the_whole_block_exactly(self, monkeypatch):
+        # An amplitude whose square passes the largest float (no SNR has one)
+        # makes every slack inf, so every row takes the exact path, quietly.
+        u = np.random.Generator(np.random.Philox(5)).random((300, 4))
+        amplitudes = [1.5e154, 0.0, math.inf]
+        expected = [exact_errors(u, a) for a in amplitudes]
+        seen = self._exact_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score_block(u, amplitudes) == expected
+        assert seen == [300, 300, 300]
 
 
 def _peak_rss_mib(*args):
