@@ -8,6 +8,7 @@ coverage ladder all rest on that. Values are compared through
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,62 @@ class TestLuminaireArrays:
             assert len(column) == 256
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
+
+
+def ceiling8_positions(plane_m, res):
+    """The benchmark's seed-1 8 x 8 ceiling (64 lamps, 16 tags) and res x res positions
+    over its footprint, plane_m below the ceiling (above it where plane_m is negative)."""
+    scenario = load_scenario(workload_documents(1)["ceiling8"])
+    room = scenario.room
+    xs = (np.arange(res) + 0.5) / res * room.width_m - 0.5 * room.width_m
+    ys = (np.arange(res) + 0.5) / res * room.depth_m - 0.5 * room.depth_m
+    points = np.column_stack((np.tile(xs, res), np.repeat(ys, res), np.full(res * res, room.height_m - plane_m)))
+    return scenario, points
+
+
+class TestBlockWorkspace:
+    """``evaluate_points`` computes every block of positions in one workspace."""
+
+    @pytest.mark.parametrize("per_point", [False, True], ids=["one-tag", "tag-per-position"])
+    def test_blocks_do_not_share_stale_values(self, per_point):
+        # Positions 1.2 m below the ceiling are lit; the same ones 0.3 m above
+        # it, behind every lamp, are dark. The blocks run lit, dark, lit, then
+        # a partial last block of both, so each block follows one of the
+        # other kind and a value left over from a block would show.
+        scenario, below = ceiling8_positions(1.2, 24)
+        above = below + (0.0, 0.0, 1.5)
+        # 64 lamps put _BLOCK_PAIRS // 64 = _BLOCK_POSITIONS = 128 positions in a block.
+        step = 128
+        assert link._BLOCK_PAIRS // len(scenario.luminaires) == link._BLOCK_POSITIONS == step
+        mixed = np.where(np.arange(step // 2)[:, None] % 2 == 0, below[:step // 2], above[:step // 2])
+        points = np.concatenate((below[:step], above[step:2 * step], below[2 * step:3 * step], mixed))
+        tag_ids = scenario.tags()
+        tags = [tag_ids[i % len(tag_ids)] for i in range(len(points))] if per_point else ["t08"] * len(points)
+        columns = evaluate_points(scenario, points, tags if per_point else "t08")
+        budgets = [evaluate_link(scenario, Vec3(*p), tag) for p, tag in zip(points.tolist(), tags)]
+        assert bits(columns.h_data) == bits(b.data_gain(tag) for b, tag in zip(budgets, tags))
+        for name in FIELDS:
+            assert bits(getattr(columns, name)) == bits(getattr(b, name) for b in budgets), name
+        received = np.array(columns.received_power_w)
+        assert (received[:step] > 0.0).all() and (received[2 * step:3 * step] > 0.0).all()
+        assert not received[step:2 * step].any() and not received[3 * step + 1::2].any()
+
+    def test_memory_stays_per_block(self):
+        # Four times the positions may raise the peak by the size of the
+        # added output columns, seven floats a position, and no more: the
+        # block arrays do not grow with the batch, as one (positions, lamps)
+        # array, 64 floats a position here, would.
+        def peak(res):
+            scenario, points = ceiling8_positions(1.2, res)
+            evaluate_points(scenario, points, "t08")
+            tracemalloc.start()
+            try:
+                evaluate_points(scenario, points, "t08")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) - peak(32) <= 7 * 8 * (64 * 64 - 32 * 32)
 
 
 class TestFieldOfViewEdge:
