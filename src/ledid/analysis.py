@@ -19,14 +19,14 @@ included, answers from one search: a ladder of 1 cm steps out to 100 m,
 whose last passing step is refined by bisection; when the last step still
 passes, the bisection's bracket doubles out from 100 m (first probe 200 m)
 instead, and a ray that passes until it would probe past 1,000 km reads
-unbounded. The ladder is bounded
-run by run (interval branch and bound): ``link.segments_may_pass`` rules
-out each run whose SNR bound stays below the threshold's, any other run is
-split in eight, and the steps of the runs left go through
+unbounded. The ladder is bounded run by run (interval branch and bound),
+from the 64 runs that two splits in eight give: ``link.segments_may_pass``
+rules out each run whose SNR bound stays below the threshold's, any other
+run is split in eight, and the steps of the runs left go through
 ``evaluate_points`` in one batch, step 1 always among them, so only the
 steps that might pass are evaluated, each once, and the answer equals the
 full ladder's; a failing step 1 gives 0. Each bisection call to
-``evaluate_points`` takes the midpoints of the next three halvings; the
+``evaluate_points`` takes the midpoints of the next five halvings; the
 link model, the bound included, lives in ``link`` alone, and this module
 only searches. A probe that lands on a luminaire has no link budget and
 counts as failing. The off-axis angle is swept at half the maximum
@@ -56,8 +56,13 @@ _DISTANCE_TOL_M = 1.0e-3
 _SPLIT = 8
 _LEAF_STEPS = 32
 _ANGLE_TOL_DEG = 0.1
-# Halvings whose midpoints _bisect evaluates in one batch.
-_BISECT_LEVELS = 3
+# Halvings whose midpoints _bisect evaluates in one batch. A kernel call costs
+# about 105 us and 0.7 (L1) to 1.5 (G1) us more a point, so five read the
+# 1 mm distance in one call of 15 points and the 0.1 degree angle in two of
+# 31; three took 2 and 4 calls, four take 1 and 3, six read the angle in 63
+# and 15 points. Five planning coverage queries took 10.6, 9.3, 8.4 and 8.7
+# ms at 3 to 6 levels (minima of 80 interleaved runs, 2-vCPU Xeon, numpy 2.4).
+_BISECT_LEVELS = 5
 
 UNBOUNDED = math.inf
 
@@ -192,15 +197,18 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
     origin = lamps[0].pose.position
     axis = lamps[0].pose.axis
     side = _perpendicular(axis)
+    axis_xyz, side_xyz = np.array([axis.x, axis.y, axis.z]), np.array([side.x, side.y, side.z])
 
     def probes(distances, angles_deg=(0.0,)) -> np.ndarray:
-        # Each position is origin + direction.scaled(distance), component
-        # by component, as Vec3 arithmetic computes it; one angle serves
-        # every distance, or one distance every angle.
-        directions = [axis.scaled(math.cos(a)) + side.scaled(math.sin(a))
-                      for a in map(math.radians, angles_deg)]
+        # Each position is origin + (axis.scaled(cos a) + side.scaled(sin a))
+        # .scaled(distance), component by component, as Vec3 arithmetic
+        # computes it; one angle serves every distance, or one distance
+        # every angle.
+        radians = list(map(math.radians, angles_deg))
+        directions = (np.array(list(map(math.cos, radians)))[:, None] * axis_xyz
+                      + np.array(list(map(math.sin, radians)))[:, None] * side_xyz)
         steps = np.asarray(distances, dtype=float)[:, None]
-        return (origin.x, origin.y, origin.z) + steps * np.array([(d.x, d.y, d.z) for d in directions])
+        return (origin.x, origin.y, origin.z) + steps * directions
 
     def passes(points: np.ndarray) -> np.ndarray:
         try:
@@ -257,22 +265,30 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
 def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float) -> np.ndarray:
     """Ladder steps that might pass, in order: every passing step and step 1.
 
-    Runs of steps start as the whole ladder. Each level of splitting is one
-    batch through ``segments_may_pass``, and a run it cannot rule out is
-    split into ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps.
+    Runs of steps start as the ladder split twice into ``_SPLIT`` runs,
+    which saves the two coarser batches and drops no passing step, as each
+    run is bounded on its own segment. Each level of splitting is one batch
+    through ``segments_may_pass``, and a run it cannot rule out is split
+    into ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps.
     ``probes`` maps distances to the positions the ladder evaluates.
     """
     kept = [np.array([1])]
-    runs = np.array([[1, _SCAN_STEPS]])
+    runs = _split(_split(np.array([[1, _SCAN_STEPS]])))
     while len(runs):
         ends = probes(runs.ravel() * _SCAN_STEP_M).reshape(-1, 2, 3)
         runs = runs[segments_may_pass(scenario, tag_id, ends[:, 0], ends[:, 1], threshold)]
         leaf = runs[:, 1] - runs[:, 0] < _LEAF_STEPS
         kept.extend(np.arange(first, last + 1) for first, last in runs[leaf])
-        first, last = runs[~leaf].T
-        cuts = first[:, None] + (last - first + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
-        runs = np.column_stack((cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1))
-    return np.unique(np.concatenate(kept))
+        runs = _split(runs[~leaf])
+    steps = np.sort(np.concatenate(kept))  # np.unique, at a quarter of its cost on numpy 2
+    return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+
+
+def _split(runs: np.ndarray) -> np.ndarray:
+    # Each run of steps [first, last] as _SPLIT runs, in order.
+    first, last = runs.T
+    cuts = first[:, None] + (last - first + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
+    return np.column_stack((cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1))
 
 
 def _bisect(passes, lo: float, hi: float, tol: float) -> float:

@@ -39,10 +39,11 @@ it returns is bit-identical to the scalar one:
   Every term is >= 0, so a point with at most two nonzero terms sums
   exactly in numpy's row sum: adding +0.0 is exact, and the one addition
   rounds once, to the correctly rounded sum fsum returns. Points with more
-  take an error-free extraction over the whole block that certifies that
-  sum, or else fsum (``_row_sums``: near ties, tiny or huge rows, inf and
-  nan). No result depends on term order (``a + b == b + a``, and zeros
-  add exactly), so mirror-symmetric layouts stay exactly symmetric.
+  take fsum itself in a block with few such terms, and otherwise an
+  error-free extraction over the whole block that certifies that sum, or
+  else fsum (``_row_sums``: near ties, tiny or huge rows, inf and nan). No
+  result depends on term order (``a + b == b + a``, and zeros add
+  exactly), so mirror-symmetric layouts stay exactly symmetric.
 * Noise is ``total_noise_variance`` on the whole column, whose elements
   get the bits a float gets. SNR and BER are computed a column at a time
   in the operation order of ``snr`` and ``ber_bfsk``, with their 0 and
@@ -86,6 +87,13 @@ if TYPE_CHECKING:  # pragma: no cover
 # 11 MiB peak (minima of 3 to 15 runs, 2-vCPU Xeon, numpy 2.4).
 _BLOCK_PAIRS = 8192
 _BLOCK_POSITIONS = 128
+# _row_sums sums a block's rows of three or more nonzero terms by fsum while
+# they hold at most _FSUM_TERMS terms in all, and by the extraction past that.
+# On the rows the kernel passes it, fsum took 17, 22 and 34 us against 29,
+# 31 and 57 for the extraction at 93 terms (L1), 270 (G1) and 512 (a 256-lamp
+# ceiling), and 45, 37 and 66 against 38, 33 and 67 at 381, 558 and 1,536
+# (minima of 9 runs, 2-vCPU Xeon, numpy 2.4).
+_FSUM_TERMS = 512
 # Relative margin on every bound of segments_may_pass: lengths (distances
 # and dot products) widen by it times the magnitude of the coordinates
 # they come from, and so do the cosines formed from them; gains and sums
@@ -331,7 +339,7 @@ def luminaire_gains(scenario: "Scenario", positions, work=None) -> np.ndarray:
     axis, rx_axis = lamps.tx_axis[:, :, None], scenario.receiver_axis
     np.divide(dot(axis[:, 0], axis[:, 1], axis[:, 2], cos_theta), d, out=cos_theta)
     np.divide(np.negative(dot(rx_axis.x, rx_axis.y, rx_axis.z, cos_psi), out=cos_psi), d, out=cos_psi)
-    return _gains(scenario, d, cos_theta, cos_psi, _float_pow, lamps.order[:, None], dx).T
+    return _gains(scenario, d, cos_theta, cos_psi, _float_pow, dx).T
 
 
 def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end: np.ndarray,
@@ -353,57 +361,60 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
     # exceeds threshold * (1 + margin): rounding in exp and log cannot pass.
     target = -2.0 * math.log(2.0 * threshold * (1.0 + _BOUND_MARGIN))
     lamps = scenario.luminaire_arrays
-    rx_axis = np.array([scenario.receiver_axis.x, scenario.receiver_axis.y, scenario.receiver_axis.z])
+    rx = scenario.receiver_axis
     up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
-    # Entry [k, j] pairs segment k with lamp j.
-    e0, e1 = start[:, None, :] - lamps.tx, end[:, None, :] - lamps.tx
-    u = (end - start)[:, None, :]
+    # Entry [j, k] of each array pairs lamp j with segment k; e0, e1 and u
+    # hold x, y and z first: the ends less the lamp, and the segment.
+    e0, e1 = (np.subtract(ends.T[:, None, :], lamps.tx.T[:, :, None], order="C") for ends in (start, end))
+    u = np.subtract(end.T, start.T, order="C")[:, None, :]
     # Lengths widen by the margin times the magnitudes they are computed
     # from, which bounds their rounding.
-    slack = _BOUND_MARGIN * ((np.abs(start).sum(axis=1) + np.abs(end).sum(axis=1))[:, None]
-                             + np.abs(lamps.tx).sum(axis=1))
+    slack = _BOUND_MARGIN * ((np.abs(start).sum(axis=1) + np.abs(end).sum(axis=1))
+                             + np.abs(lamps.tx).sum(axis=1)[:, None])
     with np.errstate(all="ignore"):
         # fmax takes a zero-length segment's 0 / 0 to its start.
-        t = np.fmin(np.fmax(-(e0 * u).sum(axis=2) / (u * u).sum(axis=2), 0.0), 1.0)
-        d_lo = np.maximum(_norm(e0 + t[..., None] * u) - slack, 0.0)
+        t = np.fmin(np.fmax(-_dot(e0, u) / _dot(u, u), 0.0), 1.0)
+        d_lo = np.maximum(_norm(e0 + t * u) - slack, 0.0)
         d_hi = np.maximum(_norm(e0), _norm(e1)) + slack
 
-        def cosine(dot0, dot1, axis_norm):
-            # Upper and lower bounds of dot / d. A negative bound only has
-            # to stay negative: the pair is then unlit, or not surely lit.
-            hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, axis_norm * up)
-            return hi, (np.minimum(dot0, dot1) - slack) / d_hi
+        def cosines(axis):
+            # Upper then lower bounds of axis . e / d. A negative bound only
+            # has to stay negative: the pair is then unlit, or not surely lit.
+            dot0, dot1 = _dot(axis, e0), _dot(axis, e1)
+            hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, _norm(axis) * up)
+            return np.concatenate((hi, (np.minimum(dot0, dot1) - slack) / d_hi), axis=1)
 
-        theta_hi, theta_lo = cosine((e0 * lamps.tx_axis).sum(axis=2), (e1 * lamps.tx_axis).sum(axis=2),
-                                    _norm(lamps.tx_axis))
-        psi_hi, psi_lo = cosine(-(e0 @ rx_axis), -(e1 @ rx_axis), np.sqrt(rx_axis @ rx_axis))
-        # Lit on the upper cosine bounds: might be lit; on the lower: lit throughout.
-        incident_hi, terms_hi = _signal_terms(scenario, _gains(scenario, d_lo, theta_hi, psi_hi, np.power) * up)
-        incident_lo, terms_lo = _signal_terms(scenario, _gains(scenario, d_hi, theta_lo, psi_lo, np.power) * down)
+        # Each segment twice: bounds from above (the closest approach and
+        # the upper cosines, lit if it might be), then from below (the
+        # farthest distance and the lower cosines, lit only if lit throughout).
+        n = len(start)
+        h = _gains(scenario, np.concatenate((d_lo, d_hi), axis=1), cosines(lamps.tx_axis.T[:, :, None]),
+                   cosines(np.array([-rx.x, -rx.y, -rx.z])[:, None, None]), np.power)
+        margin = np.repeat((up, down), n)
+        # [segment, lamp] rows in C order, so each sum over lamps runs along memory.
+        incident, terms = _signal_terms(scenario, np.multiply(h.T, margin[:, None], order="C"))
         data = lamps.tags == tag_id
-        signal_hi = terms_hi[:, data].sum(axis=1) * up
-        interference_hi = terms_hi[:, ~data].sum(axis=1) * up
-        interference_lo = terms_lo[:, ~data].sum(axis=1) * down
-        power_hi = incident_hi.sum(axis=1) * up
-        noise_hi = total_noise_variance(power_hi, scenario.detector, scenario.noise) * up
-        noise_lo = total_noise_variance(incident_lo.sum(axis=1) * down, scenario.detector, scenario.noise) * down
+        signal_hi = terms[:n, data].sum(axis=1) * up
+        interference = terms[:, ~data].sum(axis=1) * margin
+        power = incident.sum(axis=1) * margin
+        noise = total_noise_variance(power, scenario.detector, scenario.noise) * margin
         # A dark data tag bounds the SNR by 0, as in _snr_and_ber, not by 0 / 0 =
         # nan (no noise, no interference). From a threshold of 0.5 / (1 + margin)
         # up the target is not positive, so the segment is kept, as from 0.5 up it must be.
-        snr_hi = np.where(signal_hi == 0.0, 0.0, signal_hi / (noise_lo + interference_lo))
-    finite = np.isfinite(signal_hi) & np.isfinite(interference_hi) & np.isfinite(power_hi) & np.isfinite(noise_hi)
+        snr_hi = np.where(signal_hi == 0.0, 0.0, signal_hi / (noise[n:] + interference[n:]))
+    finite = np.isfinite((signal_hi, interference[:n], power[:n], noise[:n])).all(axis=0)
     return ~(finite & (snr_hi < target))
 
 
-def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power, order=None, out=None) -> np.ndarray:
-    # channel_gain for each (position, lamp) pair from its distance and
+def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power, out=None) -> np.ndarray:
+    # channel_gain for each (lamp, position) pair from its distance and
     # cosines, with power(base, m) for cos(theta)^m on the lit pairs, into
-    # ``out`` or new memory; ``order`` spreads the orders, one lamp a column
-    # by default. The lit test negates channel_gain's zero test: nan is lit.
+    # ``out`` or new memory. The lit test negates channel_gain's zero test:
+    # nan is lit. A lamp's lit pairs are one run, in lamp order, so each order
+    # repeats by its lamp's lit count.
     det = scenario.detector
     lit = ~((cos_psi < det.cos_fov) | (cos_theta <= 0.0))
-    order = scenario.luminaire_arrays.order if order is None else order
-    m = np.broadcast_to(order, lit.shape)[lit]
+    m = np.repeat(scenario.luminaire_arrays.order, lit.sum(axis=1))
     dist = d[lit]
     h = np.empty(lit.shape) if out is None else out
     # A huge area_m2 or gain overflows this product to inf (or nan against
@@ -443,10 +454,12 @@ def _signal_terms(scenario: "Scenario", h, incident=None, terms=None) -> tuple[n
 
 def _check_budget(received_power, signal_ms, interference_ms, noise_variance) -> None:
     # The one finiteness rule of a link budget, for one point (floats) or
-    # many (whole columns at once). SNR may still be inf: a signal with
-    # neither noise nor interference.
-    for name, value in (("received power", received_power), ("signal", signal_ms),
-                        ("interference", interference_ms), ("noise", noise_variance)):
+    # many (whole columns at once), read in one pass unless it fails. SNR
+    # may still be inf: a signal with neither noise nor interference.
+    budget = (received_power, signal_ms, interference_ms, noise_variance)
+    if np.isfinite(budget).all():
+        return
+    for name, value in zip(("received power", "signal", "interference", "noise"), budget):
         if not np.isfinite(value).all():
             raise ParameterError(f"link budget overflows: {name} is not finite "
                                  f"(power_w, detector values or Lambertian order too large)")
@@ -461,13 +474,18 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     # (sigma + t) - sigma sum exactly, t - q is exact and sums to within
     # 2 n**2 2**-106 sigma, and TwoSum gives tau + rho = f + err exactly. f is
     # fsum's sum where |err| plus that bound is under half the gap below f;
-    # the guards keep every step normal and finite. Other rows take fsum.
+    # the guards keep every step normal and finite. Other rows take fsum, and
+    # so do all of a block's many-term rows while they hold at most
+    # _FSUM_TERMS terms, where fsum costs less than the extraction.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = terms.sum(axis=1)
         many = (terms != 0.0).sum(axis=1) > 2
         if not many.any():
             return sums
         t = terms.T.compress(many, axis=1).T  # keeps a lamps-major block lamps-major
+        if t.size <= _FSUM_TERMS:
+            sums[many] = list(map(_fsum_or_inf, t.tolist()))
+            return sums
         n = t.shape[1]
         k = (n + 1).bit_length()
         top = t.max(axis=1)
@@ -506,8 +524,13 @@ def _fsum_or_inf(terms: list[float]) -> float:
         return math.inf
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (a[0] b[0] + a[1] b[1]) + a[2] b[2], Vec3.dot's order, of component-first arrays.
+    return (a * b).sum(axis=0)
+
+
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v * v).sum(axis=-1))
+    return np.sqrt(_dot(v, v))
 
 
 def _as_points(positions) -> np.ndarray:

@@ -297,11 +297,31 @@ class TestProbesEvaluatedOnce:
     """A coverage query evaluates each probe once: ladder step 1 only in the ladder's
     batch, and a ray read past the ladder's end brackets from 200 m, not 100 m again."""
 
-    def test_l1_query_takes_eight_kernel_calls(self, monkeypatch):
+    def test_l1_query_takes_five_kernel_calls(self, monkeypatch):
         calls = KernelCalls()
         monkeypatch.setattr(analysis, "evaluate_points", calls)
         coverage(builtin_l1(), "inner")
-        assert len(calls.positions) == 8
+        assert len(calls.positions) == 5
+
+    @pytest.mark.parametrize("scenario, tag, threshold", [
+        (builtin_l1(), "inner", 1e-2),
+        (builtin_g1(), "center", 1e-2),
+        # A noisy lone lamp as the benchmark generates it, read inside the ladder.
+        (load_scenario(bench_gen().single_lamp(random.Random(1))), "solo", 1e-3),
+    ], ids=["l1", "g1-center", "lone-lamp"])
+    def test_two_bound_batches_and_five_kernel_calls(self, monkeypatch, scenario, tag, threshold):
+        # The ladder is bounded from its 64 level-2 runs, then their parts:
+        # two segments_may_pass batches. Then one kernel batch for the
+        # ladder, one for the 1 mm distance bisection, one for the 90 and 0
+        # degree checks and two for the 0.1 degree angle bisection.
+        calls, bounds = KernelCalls(), []
+        monkeypatch.setattr(analysis, "evaluate_points", calls)
+        monkeypatch.setattr(analysis, "segments_may_pass",
+                            lambda *args: bounds.append(len(args[2])) or segments_may_pass(*args))
+        report = coverage(scenario, tag, threshold)
+        assert 0.0 < report.max_reliable_distance_m < 100.0
+        assert bounds[0] == 64 and len(bounds) == 2
+        assert [len(p) for p in calls.positions[1:]] == [15, 2, 31, 31]
 
     @pytest.mark.parametrize("scenario, tag", [
         (builtin_l1(), "inner"),

@@ -562,6 +562,37 @@ def wide_rows(draw):
     return rows
 
 
+@st.composite
+def rows_at_the_fsum_switch(draw):
+    """A block of rows around ``_row_sums``'s switch from fsum to the extraction.
+
+    Rows of three or more nonzero terms ("many-term" rows), of 3 to 256
+    terms each, hold just below, at or just above ``link._FSUM_TERMS`` terms
+    in all; a few rows of at most two nonzero terms ride along. Each row's
+    terms lie around one drawn binary exponent: subnormal, normal, or so
+    large that two of them overflow. Now and then a term is inf or nan."""
+    width = draw(st.sampled_from((3, 4, 9, 16, 64, 256)))
+    # A switch set past 4,096 terms is read as 4,096, so the block stays small.
+    many = max(1, min(link._FSUM_TERMS, 4096) // width + draw(st.sampled_from((-1, 0, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    center = draw(st.sampled_from((-1074, -1060, -1022, -30, 0, 40, 1021, 1023)))
+    spread = draw(st.sampled_from((0, 2, 30)))
+    exponents = np.clip(center + rng.integers(-spread, spread + 1, (many, width)), -1074, 1023)
+    rows = np.ldexp(rng.uniform(0.5, 1.0, (many, width)), exponents)
+    rows[rng.random((many, width)) < draw(st.sampled_from((0.0, 0.3)))] = 0.0
+    rows[:, :3] = np.where(rows[:, :3] == 0.0, 2.0 ** -1074, rows[:, :3])  # three nonzero terms at least
+    rows = rows.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        row = [0.0] * width
+        for j in rng.choice(width, rng.integers(0, 3), replace=False):
+            row[j] = math.ldexp(1.0, int(rng.integers(-1074, 1024)))
+        rows.insert(rng.integers(0, len(rows) + 1), row)
+    for row in rows:
+        if rng.random() < 0.05:
+            row[rng.integers(0, width)] = rng.choice((math.inf, math.nan))
+    return rows
+
+
 class TestColumnReductions:
     """Whole-column sums, SNR and BER against their per-element references."""
 
@@ -591,6 +622,18 @@ class TestColumnReductions:
     @example([[1e308] * 3, [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0], [1.7976931348623157e308, 1e292, 1e292]])
     def test_wide_row_sums_are_fsum_bit_for_bit(self, rows):
         assert bits(link._row_sums(np.array(rows, dtype=float))) == bits(map(fsum_or_inf, rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_at_the_fsum_switch())
+    # 128 many-term rows of four terms fill the switch exactly; 129 pass it.
+    # Either block holds a row that overflows, a subnormal row, inf and nan.
+    @example([[1e308] * 4, [5e-324] * 4, [math.inf, 1.0, 1.0, 1.0], [math.nan, 1.0, 1.0, 1.0],
+              [0.0, 1e308, 0.0, 1e308]] + [[0.1, 0.2, 0.3, 0.4]] * 124)
+    @example([[1e308] * 4, [5e-324] * 4, [math.inf, 1.0, 1.0, 1.0], [math.nan, 1.0, 1.0, 1.0],
+              [0.0, 1e308, 0.0, 1e308]] + [[0.1, 0.2, 0.3, 0.4]] * 125)
+    def test_row_sums_at_the_fsum_switch_are_fsum_bit_for_bit(self, rows):
+        # The kernel's lamps-major layout: rows are columns in memory.
+        assert bits(link._row_sums(np.asfortranarray(rows, dtype=float))) == bits(map(fsum_or_inf, rows))
 
     def test_a_dense_ceiling_rarely_falls_back_to_fsum(self, monkeypatch):
         # Nearly every cell of the benchmark's 8 x 8 ceiling at 120 cm sums
