@@ -44,7 +44,7 @@ import numpy as np
 from .channel import lambertian_order
 from .errors import GeometryError, ParameterError
 from .geometry import Vec3
-from .link import _BLOCK_PAIRS, evaluate_points, segments_may_pass
+from .link import _BLOCK_PAIRS, _norm, evaluate_points, segments_may_pass
 from .scenario import Scenario
 
 _BRACKET_CAP_M = 1.0e6
@@ -156,17 +156,13 @@ def scenario_critical_distance(scenario: Scenario) -> float:
     n = len(scenario.luminaires)
     if n < 2:
         return UNBOUNDED
-    p = scenario.luminaire_arrays.tx
-    # Vec3.norm of each difference, (dx*dx + dy*dy) + dz*dz under one sqrt,
-    # so the minimum is bit-identical to a loop over the pairs.
+    # _norm sums in Vec3.norm's order, so the minimum is bit-identical to a loop over the pairs.
+    p = scenario.luminaire_arrays.tx.T.copy()
     spacing = math.inf
     step = max(1, _BLOCK_PAIRS // n)
     for start in range(0, n - 1, step):
-        rows = p[start:start + step, None, :]
-        delta = rows - p
-        d = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
-                    + delta[..., 2] * delta[..., 2])
-        later = np.arange(n) > np.arange(start, start + len(rows))[:, None]
+        d = _norm(p[:, start:start + step, None] - p[:, None, :])
+        later = np.arange(n) > np.arange(start, start + len(d))[:, None]
         spacing = min(spacing, float(d[later].min()))
     if spacing == 0.0:
         return 0.0

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import coverage, foot_bers, resolvability
-from .channel import lambertian_order
 from .errors import LedIdError
 from .export import write_grid_csv, write_grid_pgm
 from .oracle import agreement_report
@@ -142,8 +141,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"room_m={scenario.room.width_m:g}x{scenario.room.depth_m:g}x{scenario.room.height_m:g}")
     print(f"luminaires={len(scenario.luminaires)}")
     print(f"tags={','.join(scenario.tags())}")
-    for semi in sorted({lum.emitter.semi_angle_deg for lum in scenario.luminaires}):
-        print(f"lambertian_order[semi_angle_deg={semi:g}]={lambertian_order(semi):.4f}")
+    emitters = {lum.emitter.semi_angle_deg: lum.emitter for lum in scenario.luminaires}
+    for semi in sorted(emitters):
+        print(f"lambertian_order[semi_angle_deg={semi:g}]={emitters[semi].lambertian_order:.4f}")
     print(f"defaults_applied={','.join(applied) if applied else '(none)'}")
     return 0
 
@@ -286,12 +286,10 @@ def _cmd_mc_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
 
     points = agreement_report(snr_values, args.trials, args.seed)
-    failures = 0
     for pt in points:
-        status = "pass" if pt.within_3_sigma else "FAIL"
-        failures += 0 if pt.within_3_sigma else 1
         print(f"snr={pt.snr:g} analytic={pt.analytic!r} estimate={pt.estimate!r} "
-              f"std_error={pt.std_error!r} {status}")
+              f"std_error={pt.std_error!r} {'pass' if pt.within_3_sigma else 'FAIL'}")
+    failures = sum(not pt.within_3_sigma for pt in points)
     # At 3 sigma a rare statistical miss is expected; tolerate one point.
     ok = failures <= 1
     print(f"agreement={len(points) - failures}/{len(points)} ok={'yes' if ok else 'no'}")

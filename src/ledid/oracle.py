@@ -35,8 +35,9 @@ rounding and the error of ``sin`` and ``cos``, far less than the margin
 ``_TIE_MARGIN`` (its comment gives the bound). A trial whose q - v lies
 outside that margin is decided by its sign, which is the comparison's
 own. Only the trials within it compute g2, g3 and g4 and take the
-comparison above; a default run has none. So every count equals the one
-the comparison of every trial gives, for about half the work.
+comparison above; a default run has none. No trial errs from
+``_ERRORLESS_SNR`` on, which counts 0 unscored. So every count equals
+the comparison's on every trial, for about half the work.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ _BATCH_TRIALS = 1 << 14
 # 0 with the same a * a.
 _TIE_MARGIN = 1e-9
 
+# SNR from which no trial errs, so it counts 0 unscored and widens no other
+# point's slack: u <= 1 - 2^-53 gives L = -2 log1p(-u) <= 106 ln 2 < 73.5, so
+# |g1| < 8.6 and the wrong branch is below 73.5, while from a = sqrt(2 snr)
+# = 18 the correct branch is at least (a - 8.6)^2 > 88, whatever the rounding.
+_ERRORLESS_SNR = 162.0
+
 # Block-length float rows that _score_block computes in.
 _WORK_ROWS = 7
 
@@ -103,20 +110,19 @@ def mc_ber_bfsk(config: McConfig) -> tuple[float, float]:
 
 
 def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
-    # Errors out of ``trials`` at each SNR. Every SNR is scored against the
-    # same blocks of draws, so trial i sees the same g1..g4 at every point.
-    # The block arrays serve the whole run: fresh arrays per block would go
-    # back to the system between blocks (glibc trims the heap) and cost
-    # about 440 page faults a block to touch again.
+    # Errors out of ``trials`` at each SNR; trial i has the same g1..g4 at every
+    # SNR scored. The block arrays serve the whole run: fresh ones would go back to
+    # the system between blocks (glibc trims the heap), 440 page faults a block.
     rng = np.random.Generator(np.random.Philox(seed))
-    amplitudes = [math.sqrt(2.0 * snr) for snr in snrs]
+    scored = [k for k, snr in enumerate(snrs) if snr < _ERRORLESS_SNR]
+    amplitudes = [math.sqrt(2.0 * snrs[k]) for k in scored]
     errors = [0] * len(snrs)
     block = min(trials, _BATCH_TRIALS)
     u, work = np.empty((block, 4)), np.empty((_WORK_ROWS, block))
-    for start in range(0, trials if snrs else 0, block):
+    for start in range(0, trials if scored else 0, block):
         n = min(block, trials - start)
         rng.random(out=u[:n])
-        for k, count in enumerate(_score_block(u[:n], amplitudes, work[:, :n])):
+        for k, count in zip(scored, _score_block(u[:n], amplitudes, work[:, :n])):
             errors[k] += count
     return errors
 

@@ -326,7 +326,8 @@ class TestGrid:
 class TestBenchmarkSizes:
     """The shipped scenarios at the benchmark's sizes (G1 grids at res 72 and
     40 cm, L1 sweeps at res 48), pinned to the bytes they had when every
-    value was formatted cell by cell."""
+    value was formatted cell by cell, and at small ones (grids at res 16,
+    sweep summaries at res 8)."""
 
     @pytest.mark.parametrize("tag, csv_digest, pgm_digest", [
         ("n", "f5efe056e18d237b6514daa19a1fd709303f89e81bf1dfeaa11328db05b3ed80",
@@ -340,6 +341,38 @@ class TestBenchmarkSizes:
                      "--out", str(csv_path), "--heatmap", str(pgm_path)]) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(pgm_path.read_bytes()).hexdigest() == pgm_digest
+
+    @pytest.mark.parametrize("path, tag, csv_digest, pgm_digest", [
+        (L1_PATH, "inner", "b7b2dafd9e44e362ad48738614f99b993af507c6e8020e343d0827a6a6557f8b",
+         "c417571358cc2cb1df866eee8eaab7220b6737b78ac9d1b963330fe2fc7bb277"),
+        (G1_PATH, "center", "e7b5d5837d29dc39f107c52bbae467a991dd6c6e742e97c9681b20f3763e8442",
+         "29f9915abd9ce72e0fba4b5633b528a8866bcf576b15bae394a724f1e9381c85"),
+    ], ids=["L1-inner", "G1-center"])
+    def test_grid_and_heatmap_at_res_16(self, tmp_path, capsys, path, tag, csv_digest, pgm_digest):
+        csv_path, pgm_path = tmp_path / "grid.csv", tmp_path / "grid.pgm"
+        assert main(["grid", path, "--tag", tag, "--plane-cm", "30", "--res", "16",
+                     "--out", str(csv_path), "--heatmap", str(pgm_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(pgm_path.read_bytes()).hexdigest() == pgm_digest
+        # The Python API writes the same bytes as the CLI.
+        grid = ledid.evaluate_grid(ledid.load_scenario_file(path), 0.3, 16, tag)
+        ledid.write_grid_csv(grid, tmp_path / "api.csv")
+        ledid.write_grid_pgm(grid, tmp_path / "api.pgm")
+        assert (tmp_path / "api.csv").read_bytes() == csv_path.read_bytes()
+        assert (tmp_path / "api.pgm").read_bytes() == pgm_path.read_bytes()
+
+    def test_l1_sweep_summary_lines(self, tmp_path, capsys, monkeypatch):
+        # The min and median foot error rate of each plane.
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", L1_PATH, "--tag", "inner", "--planes-cm", "30,40,50", "--res", "8",
+                     "--out", "sweep"]) == 0
+        assert capsys.readouterr().out == (
+            "plane_cm=30 csv=sweep/inner_plane30cm.csv min_ber=9.016274084294954e-05 "
+            "median_ber=9.016274084294954e-05\n"
+            "plane_cm=40 csv=sweep/inner_plane40cm.csv min_ber=0.06502495098232461 "
+            "median_ber=0.06502495098232461\n"
+            "plane_cm=50 csv=sweep/inner_plane50cm.csv min_ber=0.18531173944803542 "
+            "median_ber=0.18531173944803542\n")
 
     def test_l1_sweep(self, tmp_path, capsys):
         assert main(["sweep", L1_PATH, "--tag", "outer-left", "--planes-cm", "30,40,50", "--res", "48",
@@ -356,7 +389,7 @@ class TestBenchmarkSizes:
 class TestDenseCeilings:
     """Outputs whose cells each sum dozens of lit lamps, pinned to the bytes
     they had when every such sum went through math.fsum row by row: the
-    benchmark's seed-1 ceilings, 8 x 8 for grids and 16 x 16 for resolve."""
+    benchmark's seed-1 ceilings, 8 x 8 for grids and 16 x 16 for both."""
 
     @pytest.mark.parametrize("tag, digest", [
         ("t08", "2b0daf611c2f2dbae03da678f79819e9272f2303847f70147a4b1bba94d88240"),
@@ -367,6 +400,17 @@ class TestDenseCeilings:
         doc.write_text(workload_documents(1)["ceiling8"], encoding="utf-8")
         assert main(["grid", str(doc), "--tag", tag, "--plane-cm", "120", "--res", "32", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_grid_and_heatmap_of_the_16_x_16_ceiling(self, tmp_path, capsys):
+        # 1,089 cells in blocks of 128 positions, so the last block is partial.
+        doc, csv_path, pgm_path = tmp_path / "ceiling16.yaml", tmp_path / "c16.csv", tmp_path / "c16.pgm"
+        doc.write_text(workload_documents(1)["ceiling16"], encoding="utf-8")
+        assert main(["grid", str(doc), "--tag", "t03", "--plane-cm", "120", "--res", "33",
+                     "--out", str(csv_path), "--heatmap", str(pgm_path)]) == 0
+        assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+                == "f492d08986e8d2ba4147cc6a8d7ff81d5be5f814bac9b6bcff46adf5b75ae0e3")
+        assert (hashlib.sha256(pgm_path.read_bytes()).hexdigest()
+                == "cd9be18a7d7f42697569344661db7e03a45d69a5b0843fa17c5b75f751a99ae6")
 
     def test_resolve_report(self, tmp_path, capsys):
         doc = tmp_path / "ceiling16.yaml"
@@ -532,6 +576,32 @@ detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
 
 
 class TestCoverage:
+    # A 10 kW lone lamp with almost no noise passes until the bracket would
+    # probe past its 1,000 km cap, so it reads unbounded, at the full angle.
+    FAR_DOC = """
+room: {width_m: 2.0, depth_m: 2.0, height_m: 2.0}
+luminaire:
+  - {tag: solo, x_m: 0.0, y_m: 0.0, z_m: 2.0, power_w: 10000.0, semi_angle_deg: 20.0}
+detector: {area_m2: 1.0e-4, fov_deg: 60.0, gain: 1.3}
+noise: {thermal_a2: 1.0e-40}
+"""
+
+    # The benchmark's noisy lone lamp reads inside the ladder, so its distance
+    # comes from the leaf runs the bounded ladder keeps, refined by bisection.
+    @pytest.mark.parametrize("doc, flags, report", [
+        (FAR_DOC, [], "tag=solo\nthreshold_ber=0.01\nmax_reliable_distance_m=unbounded\n"
+                      "max_reliable_angle_deg=90.0\n"),
+        ("lamp", ["--threshold", "0.01"], "tag=solo\nthreshold_ber=0.01\nmax_reliable_distance_m=5.028125\n"
+                                          "max_reliable_angle_deg=30.41015625\n"),
+        ("lamp", ["--threshold", "0.001"], "tag=solo\nthreshold_ber=0.001\nmax_reliable_distance_m=4.47875\n"
+                                           "max_reliable_angle_deg=30.41015625\n"),
+    ], ids=["far-unbounded", "bench-lamp-0.01", "bench-lamp-0.001"])
+    def test_lone_lamp_reports_are_pinned(self, tmp_path, capsys, doc, flags, report):
+        path = tmp_path / "doc.yaml"
+        path.write_text(workload_documents(1)["lamp"] if doc == "lamp" else doc, encoding="utf-8")
+        assert main(["coverage", str(path), "--tag", "solo", *flags]) == 0
+        assert capsys.readouterr().out == report
+
     def test_l1_outer_tag(self, capsys):
         assert main(["coverage", L1_PATH, "--tag", "outer-left", "--threshold", "1e-2"]) == 0
         out = capsys.readouterr().out
@@ -606,6 +676,28 @@ class TestResolve:
         assert "critical_overlap_distance_m=" in out
         critical = float(out.split("critical_overlap_distance_m=")[1].splitlines()[0])
         assert critical == pytest.approx(0.4396, abs=1e-4)
+
+    @pytest.mark.parametrize("path, plane_cm, report", [
+        (L1_PATH, "40", "plane_cm=40\nthreshold_ber=0.01\n"
+                        "tag=outer-left min_ber_under_lamp=0.008716024816291116 resolvable=yes\n"
+                        "tag=inner min_ber_under_lamp=0.06502495098232461 resolvable=no\n"
+                        "tag=outer-right min_ber_under_lamp=0.008716024816291116 resolvable=yes\n"
+                        "critical_overlap_distance_m=0.4395963871127396\n"),
+        (G1_PATH, "30", "plane_cm=30\nthreshold_ber=0.01\n"
+                        "tag=nw min_ber_under_lamp=0.00011627331723335248 resolvable=yes\n"
+                        "tag=n min_ber_under_lamp=0.001987563177478229 resolvable=yes\n"
+                        "tag=ne min_ber_under_lamp=0.00011627331723335248 resolvable=yes\n"
+                        "tag=w min_ber_under_lamp=0.001987563177478229 resolvable=yes\n"
+                        "tag=center min_ber_under_lamp=0.008538573978579224 resolvable=yes\n"
+                        "tag=e min_ber_under_lamp=0.001987563177478229 resolvable=yes\n"
+                        "tag=sw min_ber_under_lamp=0.00011627331723335248 resolvable=yes\n"
+                        "tag=s min_ber_under_lamp=0.001987563177478229 resolvable=yes\n"
+                        "tag=se min_ber_under_lamp=0.00011627331723335248 resolvable=yes\n"
+                        "critical_overlap_distance_m=0.4395963871127396\n"),
+    ], ids=["L1-40", "G1-30"])
+    def test_shipped_reports_are_pinned(self, capsys, path, plane_cm, report):
+        assert main(["resolve", path, "--plane-cm", plane_cm]) == 0
+        assert capsys.readouterr().out == report
 
     def test_l1_fifty_cm_outer_tags_fail(self, capsys):
         assert main(["resolve", L1_PATH, "--plane-cm", "50"]) == 0

@@ -203,6 +203,24 @@ class TestCertifiedScoring:
                 expected = [exact_errors(u, math.sqrt(2.0 * snr)) for snr in snrs]
                 assert oracle._error_counts(snrs, trials, seed) == expected, (trials, snrs)
 
+    @pytest.mark.parametrize("extra", [512.0, 1e6, 1e20, 8e307])
+    def test_an_snr_no_trial_errs_at_is_not_scored(self, monkeypatch, extra):
+        # One huge SNR appended to the default list: every count equals the
+        # exact construction's, and no more rows take the exact path than
+        # without it, as the huge one is not scored and widens no slack.
+        monkeypatch.setattr(oracle, "_BATCH_TRIALS", 997)
+        snrs = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
+        trials = 5_000
+        u = np.random.Generator(np.random.Philox(29)).random((trials, 4))
+        seen = self._exact_rows(monkeypatch)
+        oracle._error_counts(snrs, trials, 29)
+        rows_without = sum(seen)
+        seen.clear()
+        expected = [exact_errors(u, math.sqrt(2.0 * snr)) for snr in snrs + (extra,)]
+        assert oracle._error_counts(snrs + (extra,), trials, 29) == expected
+        assert expected[-1] == 0
+        assert sum(seen) == rows_without
+
     def test_near_ties_equal_the_exact_construction(self, monkeypatch):
         # At SNR 0 a row with u2 = u0 and u3 = u1 is an exact tie, which is no
         # error; its float neighbours differ from a tie by about one rounding.
