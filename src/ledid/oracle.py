@@ -31,13 +31,13 @@ Every trial computes L1 = -2 ln(1 - u0), L2 = -2 ln(1 - u2) and
 g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``.
 As g1^2 + g2^2 = L1 and g3^2 + g4^2 = L2, the wrong branch beats the
 correct one by q - v, with q = L2 - L1 and v = a (a + 2 g1), up to
-rounding and the error of ``sin`` and ``cos``, far less than the margin
-``_TIE_MARGIN`` (its comment gives the bound). A trial whose q - v lies
-outside that margin is decided by its sign, which is the comparison's
+rounding and the error of ``sin`` and ``cos``, far less than the window
+``_TIE_SLACK`` (its comment gives the bound). A trial whose q - v lies
+outside that window is decided by its sign, which is the comparison's
 own. Only the trials within it compute g2, g3 and g4 and take the
-comparison above; a default run has none. No trial errs from
-``_ERRORLESS_SNR`` on, which counts 0 unscored. So every count equals
-the comparison's on every trial, for about half the work.
+comparison above: 1 to 3 of a default report's 7 x 10^6. No trial errs
+from ``_ERRORLESS_SNR`` on, which counts 0 unscored. So every count
+equals the comparison's on every trial, for about half the work.
 """
 
 from __future__ import annotations
@@ -51,35 +51,32 @@ import numpy as np
 from .errors import ParameterError
 from .link import ber_bfsk
 
-# Trials per block: the uniforms and the _WORK_ROWS rows, 11 floats a trial
-# (1.4 MiB), stay within a 2 MiB L2. 2^12 .. 2^16 took 17.3, 16.0, 15.6,
+# Trials per block: the uniforms and the _WORK_ROWS rows, 8 floats a trial
+# (1 MiB), stay within a 2 MiB L2. 2^12 .. 2^16 took 17.3, 16.0, 15.6,
 # 15.2 and 16.5 ms (the least of three fresh processes' minima of 30
 # seven-SNR reports of 250,000 trials, on a 2-vCPU Xeon with numpy 2.4).
 _BATCH_TRIALS = 1 << 14
 
-# Relative margin of _score_block's certified decisions (see the module
-# docstring). Both paths use the same bits of L1, L2 and g1. numpy's sin
-# and cos are good to a few ulps and take one phase, so the exact path's
-# g1^2 + g2^2 and wrong branch are within about 20 eps of L1 and L2
-# (eps = 2^-53); each other rounding of either path is at most eps times a
-# magnitude below S = L2 + 2 L1 + (a + |g1|)^2. So the two values of
-# wrong - correct differ by under 30 eps S, about 3e-15 S, and a trial
-# whose q - v is further than 1e-9 S from 0 (S taken at the largest finite
-# amplitude, which only widens it) gets the exact path's decision, with
-# room for trig errors of 10^5 ulps. The generator draws each u as 0 or at
-# least 2^-53, so unless u0 = u2 = 0, S >= 2^-52, far above underflow
-# (2^-1075 a rounding); if u0 = u2 = 0, g1 = g2 = 0 and both paths compare
-# 0 with the same a * a.
-_TIE_MARGIN = 1e-9
+# Half-width of the window of q - v that _score_block sends to the exact path
+# (see the module docstring), for amplitudes a <= 18. The generator draws
+# each u below 1, so u <= 1 - 2^-53, L = -2 log1p(-u) <= 106 ln 2 < 73.5 and
+# |g1| < 8.6, whence S = L2 + 2 L1 + (a + |g1|)^2 < 927. Both paths use the
+# same bits of L1, L2 and g1. numpy's sin and cos are good to a few ulps and
+# take one phase, so the exact path's g1^2 + g2^2 and wrong branch are
+# within about 20 eps of L1 and L2 (eps = 2^-53); each other rounding of
+# either path is at most eps times a magnitude below S. So the two values of
+# wrong - correct differ by under 30 eps S < 4e-12, and a trial whose q - v
+# lies outside the window gets the exact path's decision. The window is
+# 1e-9 x 1024, above 1e-9 S on every trial: room for trig errors of 10^5 ulps.
+_TIE_SLACK = 1.024e-6
 
-# SNR from which no trial errs, so it counts 0 unscored and widens no other
-# point's slack: u <= 1 - 2^-53 gives L = -2 log1p(-u) <= 106 ln 2 < 73.5, so
-# |g1| < 8.6 and the wrong branch is below 73.5, while from a = sqrt(2 snr)
-# = 18 the correct branch is at least (a - 8.6)^2 > 88, whatever the rounding.
+# SNR from which no trial errs, so it counts 0 unscored: with the bounds
+# above, the wrong branch is below 73.5, while from a = sqrt(2 snr) = 18 the
+# correct branch is at least (a - 8.6)^2 > 88, whatever the rounding.
 _ERRORLESS_SNR = 162.0
 
 # Block-length float rows that _score_block computes in.
-_WORK_ROWS = 7
+_WORK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -130,38 +127,28 @@ def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
 def _score_block(u: np.ndarray, amplitudes: Sequence[float], work: np.ndarray) -> list[int]:
     # Errors among the trials of one block of uniform rows at each amplitude,
     # each count equal to scoring every row by _noise_terms (see the module
-    # docstring): rows whose decision the margin certifies are counted from
-    # v = a (a + 2 g1) against q = L2 - L1; the rest go to _noise_terms.
+    # docstring): rows outside the window certify their decision and are
+    # counted from v = a (a + 2 g1) against q = L2 - L1; the rest go to
+    # _noise_terms. Every amplitude is at most 18, as _error_counts passes.
     # ``work`` is (_WORK_ROWS, len(u)) floats for the block's arrays.
-    l1, l2, g1, error_below, clear_above, twice_g1, v = work
+    l1, l2, g1, v = work
     _radius_squared(u[:, 0], out=l1, scratch=v)
     _radius_squared(u[:, 2], out=l2, scratch=v)
     _gaussian(l1, u[:, 1], np.cos, out=g1, scratch=v)
-    a_max = max((a for a in amplitudes if a < math.inf), default=0.0)
+    # The bounds q -/+ _TIE_SLACK, with q = L2 - L1, take the rows of L1 and L2.
+    clear_above = np.subtract(l2, l1, out=l2)
+    error_below = np.subtract(clear_above, _TIE_SLACK, out=l1)
+    clear_above += _TIE_SLACK
+    twice_g1 = np.multiply(g1, 2.0, out=g1)
     counts = []
-    # A slack or v past the largest float is inf: the rows go to _noise_terms,
-    # or v = inf certifies no error, as (a + g1)^2 = inf does there.
-    with np.errstate(over="ignore"):
-        # slack = margin (L2 + 2 L1 + (a_max + |g1|)^2), in v; the bounds are q -/+ slack.
-        slack = np.abs(g1, out=v)
-        slack += a_max
-        slack *= slack
-        slack += l2
-        slack += l1
-        slack += l1
-        slack *= _TIE_MARGIN
-        np.subtract(l2, l1, out=clear_above)
-        np.subtract(clear_above, slack, out=error_below)
-        clear_above += slack
-        np.multiply(g1, 2.0, out=twice_g1)
-        for a in amplitudes:
-            np.add(twice_g1, a, out=v)
-            v *= a
-            errors = np.count_nonzero(v < error_below)
-            if np.count_nonzero(v <= clear_above) > errors:
-                exact_g1, g2_squared, wrong = _noise_terms(u[(v >= error_below) & (v <= clear_above)])
-                errors += np.count_nonzero(wrong > (a + exact_g1) ** 2 + g2_squared)
-            counts.append(int(errors))
+    for a in amplitudes:
+        np.add(twice_g1, a, out=v)
+        v *= a
+        errors = np.count_nonzero(v < error_below)
+        if np.count_nonzero(v <= clear_above) > errors:
+            exact_g1, g2_squared, wrong = _noise_terms(u[(v >= error_below) & (v <= clear_above)])
+            errors += np.count_nonzero(wrong > (a + exact_g1) ** 2 + g2_squared)
+        counts.append(int(errors))
     return counts
 
 
@@ -215,13 +202,12 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
     (see the module docstring); each equals ``mc_ber_bfsk`` at its SNR bit
     for bit. ``trials``, ``seed`` and every SNR are checked before anything is drawn.
     """
-    configs = [McConfig(snr=snr, trials=trials, seed=seed) for snr in snr_values]
-    if not configs:
-        McConfig(snr=0.0, trials=trials, seed=seed)
+    for snr in snr_values or (0.0,):
+        McConfig(snr=snr, trials=trials, seed=seed)
     points = []
-    for config, errors in zip(configs, _error_counts(snr_values, trials, seed)):
-        analytic = ber_bfsk(config.snr)
+    for snr, errors in zip(snr_values, _error_counts(snr_values, trials, seed)):
+        analytic = ber_bfsk(snr)
         estimate, std_error = _estimate(errors, trials)
         ok = abs(estimate - analytic) <= 3.0 * std_error
-        points.append(AgreementPoint(config.snr, analytic, estimate, std_error, ok))
+        points.append(AgreementPoint(snr, analytic, estimate, std_error, ok))
     return tuple(points)

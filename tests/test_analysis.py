@@ -742,6 +742,68 @@ class TestNoiselessBound:
             assert segments_may_pass(scenario, "inner", points, points, threshold).all()
 
 
+# Fractions of the way along a segment, ends included, at which its points are sampled.
+ALONG = np.linspace(0.0, 1.0, 65)
+
+
+def segment_points(start, end):
+    """``len(ALONG)`` points on each segment, one segment after another."""
+    return (start[:, None, :] + ALONG[None, :, None] * (end - start)[:, None, :]).reshape(-1, 3)
+
+
+def passing_points_ruled_out(scenario, tag, start, end, threshold):
+    """Segments that the bound rules out but that hold a sampled point that reads."""
+    ruled_out = ~segments_may_pass(scenario, tag, start, end, threshold)
+    ber = np.array(evaluate_points(scenario, segment_points(start[ruled_out], end[ruled_out]), tag).ber)
+    return int((ber.reshape(-1, len(ALONG)) <= threshold).any(axis=1).sum()), int(ruled_out.sum())
+
+
+class TestSegmentBoundAlongSegments:
+    """``segments_may_pass`` on segments of nonzero length: a ruled-out segment holds no passing point."""
+
+    @pytest.mark.parametrize("make, seed", [(builtin_l1, 3), (builtin_g1, 4)], ids=["l1", "g1"])
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-3])
+    def test_no_ruled_out_segment_holds_a_point_that_reads(self, make, seed, threshold):
+        # 200 segments a tag with both ends anywhere below the ceiling, so
+        # that many reach from a lamp's beam to where no lamp is bright.
+        scenario = make()
+        rng = np.random.default_rng(seed)
+        low, high = (-1.0, -1.0, 0.0), (1.0, 1.0, 1.95)
+        for tag in scenario.tags():
+            start, end = rng.uniform(low, high, (200, 3)), rng.uniform(low, high, (200, 3))
+            bad, ruled_out = passing_points_ruled_out(scenario, tag, start, end, threshold)
+            assert bad == 0
+            assert ruled_out > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_layouts, st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+           st.sampled_from((30.0, 60.0, 90.0)), st.floats(-10.0, -4.0), st.floats(-14.0, -8.0),
+           st.floats(-3.0, math.log10(5e-2)),
+           st.lists(st.tuples(*[st.tuples(st.floats(0.01, 3.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))] * 2),
+                    min_size=1, max_size=30))
+    # The segment runs 1 m across, 1 m below the data lamp, from its ray to
+    # the axis of an interferer on the ceiling 1.5 m away. The interferer is
+    # outside the 30 degree field of view at the start, which reads, so only
+    # a distance bound from the farther end keeps the segment.
+    @example(layout=(0.0, 0.0, None, EmitterModel(power_w=1.0, semi_angle_deg=10.0),
+                     [("u", 0.0, 1.5, 0.0, (0.0, 0.0), EmitterModel(power_w=1.0, semi_angle_deg=10.0))]),
+             tilt=(0.0, 0.0), fov=30.0, log_background=-4.0, log_thermal=-8.0, log_threshold=-2.0,
+             segments=[((1.0, 0.0, 0.0), (1.0, 1.0, 0.0))])
+    def test_no_ruled_out_segment_reads_in_mixed_layouts(self, layout, tilt, fov, log_background, log_thermal,
+                                                         log_threshold, segments):
+        # Each end is a point down the data lamp's ray moved up to 1 m
+        # sideways, so that the ends fall on either side of where "t" reads.
+        scenario = mixed_scenario(layout, tilt, fov, log_background, log_thermal)
+        ray, drawn = ladder_probes(scenario, "t"), np.array(segments)
+        start, end = (np.clip(ray(drawn[:, k, 0]) + np.pad(drawn[:, k, 1:], ((0, 0), (0, 1))),
+                              (-2.0, -2.0, 0.0), (2.0, 2.0, 2.95)) for k in (0, 1))
+        try:
+            bad, _ = passing_points_ruled_out(scenario, "t", start, end, 10.0 ** log_threshold)
+        except GeometryError:
+            assume(False)  # a sampled point on a lamp
+        assert bad == 0
+
+
 def sequential_bisect(ok, lo, hi, tol):
     """The one-point-at-a-time bisection: the answer and its number of halvings."""
     halvings = 0

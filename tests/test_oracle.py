@@ -235,17 +235,61 @@ class TestCertifiedScoring:
         assert seen == [ties.sum()]
         assert score_block(rows, [0.0]) == [exact_errors(rows, 0.0)]
 
-    def test_overflowing_slack_scores_the_whole_block_exactly(self, monkeypatch):
-        # An amplitude whose square passes the largest float (no SNR has one)
-        # makes every slack inf, so every row takes the exact path, quietly.
+    def test_snrs_whose_amplitude_squared_overflows_count_quietly(self, monkeypatch):
+        # SNR 1.125e308 (amplitude 1.5e154, whose square passes the largest
+        # float) and inf count 0 unscored, as every SNR from _ERRORLESS_SNR on
+        # does: no overflow warning, and no row takes the exact path.
         u = np.random.Generator(np.random.Philox(5)).random((300, 4))
-        amplitudes = [1.5e154, 0.0, math.inf]
-        expected = [exact_errors(u, a) for a in amplitudes]
+        snrs = (0.0, 1.125e308, math.inf)
+        expected = [exact_errors(u, math.sqrt(2.0 * snr)) for snr in snrs]
         seen = self._exact_rows(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert score_block(u, amplitudes) == expected
-        assert seen == [300, 300, 300]
+            assert oracle._error_counts(snrs, 300, 5) == expected
+        assert seen == []
+
+
+class TestTieWindow:
+    """The premises of the constant window ``_TIE_SLACK``."""
+
+    @pytest.mark.parametrize("snrs", [(161.99999,), (0.0, 162.0, 16.0), (1e20, 161.99999, math.inf, 2.0),
+                                      (math.inf, 162.0, 1e20)])
+    def test_no_scored_amplitude_passes_18(self, monkeypatch, snrs):
+        amplitudes = []
+        score_block = oracle._score_block
+
+        def recording(u, block_amplitudes, work):
+            amplitudes.extend(block_amplitudes)
+            return score_block(u, block_amplitudes, work)
+
+        monkeypatch.setattr(oracle, "_score_block", recording)
+        oracle._error_counts(snrs, 100, 3)
+        assert all(a <= 18.0 for a in amplitudes)
+        assert len(amplitudes) == sum(snr < 162.0 for snr in snrs)
+
+    def test_the_window_holds_the_per_trial_window(self):
+        # The per-trial half-width that _TIE_SLACK replaced, 1e-9 (L2 + 2 L1 +
+        # (a + |g1|)^2) in float steps, at its largest: both radii from the
+        # largest draw 1 - 2^-53, g1 = sqrt(L1) at u1 = 0, and a = 18.
+        u = np.array([1.0 - 2.0 ** -53])
+        l1 = l2 = -2.0 * np.log1p(-u)
+        g1 = np.sqrt(l1) * np.cos(2.0 * np.pi * 0.0)
+        assert l1[0] < 73.5 and g1[0] < 8.6
+        slack = np.abs(g1) + 18.0
+        slack *= slack
+        slack += l2
+        slack += l1
+        slack += l1
+        assert slack[0] < 927.0
+        slack *= 1e-9
+        assert slack[0] <= oracle._TIE_SLACK
+
+    def test_the_default_report_sends_two_rows_to_the_exact_path(self, monkeypatch):
+        # 7 x 10^6 decisions, seed 42: a window wide enough to send whole
+        # blocks to the exact path would show here.
+        seen = TestCertifiedScoring._exact_rows(monkeypatch)
+        agreement_report((0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0), 1_000_000, 42)
+        assert sum(seen) == 2
 
 
 def _peak_rss_mib(*args):
