@@ -288,7 +288,7 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     for start in range(0, n, step):
         block = points[start:start + step]
         size = k * len(block)
-        h = luminaire_gains(scenario, block, work[:7 * size])
+        h = _luminaire_gains(scenario, block, work[:7 * size])
         terms = work[size:2 * size].reshape(k, -1).T
         rows = work[3 * size:7 * size].reshape(k, -1)
         rows.fill(0.0)
@@ -319,7 +319,11 @@ def luminaire_gains(scenario: "Scenario", positions, work=None) -> np.ndarray:
     view, lamps-major in memory, of the first of the seven (luminaires, n)
     arrays it is computed in, held in ``work`` (7 n luminaires floats) or new.
     """
-    points = _as_points(positions)
+    return _luminaire_gains(scenario, _as_points(positions), work)
+
+
+def _luminaire_gains(scenario: "Scenario", points: np.ndarray, work) -> np.ndarray:
+    # luminaire_gains on positions _as_points has already checked.
     lamps = scenario.luminaire_arrays
     shape = (len(lamps.tags), len(points))
     # Entry [j, i] of each array pairs luminaire j with position i.

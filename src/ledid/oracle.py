@@ -27,6 +27,18 @@ share the seed, so the report draws each block of uniforms once and scores
 every SNR against those same draws before it draws the next block. Each
 point is bit-identical to ``mc_ber_bfsk`` run alone at its SNR.
 
+The blocks are cut into P contiguous runs, P the least of 4, the CPUs the
+process may run on and the number of blocks, and the runs are scored at
+once: the caller's thread takes the first, a thread each the others.
+numpy releases the GIL in the draws and the transform, which are most of
+the work. Each run has its own generator and block arrays. Philox is
+counter-based and each step of its counter gives one trial's four draws,
+so a generator advanced by k starts at trial k: a run draws the bits the
+serial loop draws for its trials, and scores them in the same blocks. A
+count is a sum of integers over blocks, so no count, estimate or output
+byte depends on P. If a run raises, or the caller is interrupted, every
+run stops before its next block, and the call raises once all are joined.
+
 Every trial computes L1 = -2 ln(1 - u0), L2 = -2 ln(1 - u2) and
 g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``.
 As g1^2 + g2^2 = L1 and g3^2 + g4^2 = L2, the wrong branch beats the
@@ -42,7 +54,10 @@ equals the comparison's on every trial, for about half the work.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,9 +67,10 @@ from .errors import ParameterError
 from .link import ber_bfsk
 
 # Trials per block: the uniforms and the _WORK_ROWS rows, 8 floats a trial
-# (1 MiB), stay within a 2 MiB L2. 2^12 .. 2^16 took 17.3, 16.0, 15.6,
-# 15.2 and 16.5 ms (the least of three fresh processes' minima of 30
-# seven-SNR reports of 250,000 trials, on a 2-vCPU Xeon with numpy 2.4).
+# (1 MiB a run), stay within a 2 MiB L2. With two runs, 2^12 .. 2^16 took
+# 14.1, 12.2, 12.0, 12.2 and 13.8 ms (the median of six fresh processes'
+# minima of 30 seven-SNR reports of 250,000 trials, on a 2-vCPU Xeon with
+# numpy 2.4).
 _BATCH_TRIALS = 1 << 14
 
 # Half-width of the window of q - v that _score_block sends to the exact path
@@ -108,20 +124,76 @@ def mc_ber_bfsk(config: McConfig) -> tuple[float, float]:
 
 def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
     # Errors out of ``trials`` at each SNR; trial i has the same g1..g4 at every
-    # SNR scored. The block arrays serve the whole run: fresh ones would go back to
-    # the system between blocks (glibc trims the heap), 440 page faults a block.
-    rng = np.random.Generator(np.random.Philox(seed))
+    # SNR scored. Run r takes trials bounds[r] .. bounds[r + 1] - 1, whole blocks
+    # but the last, on a thread of its own but run 0, which is the caller's.
     scored = [k for k, snr in enumerate(snrs) if snr < _ERRORLESS_SNR]
     amplitudes = [math.sqrt(2.0 * snrs[k]) for k in scored]
     errors = [0] * len(snrs)
+    if not scored:
+        return errors
     block = min(trials, _BATCH_TRIALS)
-    u, work = np.empty((block, 4)), np.empty((_WORK_ROWS, block))
-    for start in range(0, trials if scored else 0, block):
-        n = min(block, trials - start)
-        rng.random(out=u[:n])
-        for k, count in zip(scored, _score_block(u[:n], amplitudes, work[:, :n])):
+    blocks = -(-trials // block)
+    runs = min(_max_runs(), blocks)
+    bounds = [block * (r * blocks // runs) for r in range(runs)] + [trials]
+    results, failures, stop = [None] * runs, [], threading.Event()
+
+    def score(r):
+        try:
+            results[r] = _score_run(seed, bounds[r], bounds[r + 1], block, amplitudes, stop)
+        except BaseException as exc:  # raised again by the caller, once every run is joined
+            failures.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for r in range(1, runs):
+            # In a copy of the caller's context, so numpy's errstate holds there too.
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(score, r))
+            thread.start()
+            threads.append(thread)
+        results[0] = _score_run(seed, 0, bounds[1], block, amplitudes, stop)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if failures:
+        raise failures[0]
+    for counts in results:
+        for k, count in zip(scored, counts):
             errors[k] += count
     return errors
+
+
+def _max_runs() -> int:
+    # Runs _error_counts may score at once: one per CPU this process may run
+    # on, at most 4, which holds a default report's memory to about 4 MiB of
+    # block arrays on any host.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
+
+
+def _score_run(seed: int, first: int, end: int, block: int, amplitudes: Sequence[float],
+               stop: threading.Event) -> list[int]:
+    # Errors among trials first .. end - 1 at each amplitude, a block of up to
+    # ``block`` trials at a time, until ``stop`` is set. Philox's counter steps
+    # one trial's four draws at a time, so advancing it by ``first`` starts at
+    # trial ``first``. The block arrays serve the whole run: fresh ones would go
+    # back to the system between blocks (glibc trims the heap), 440 page faults a block.
+    rng = np.random.Generator(np.random.Philox(seed).advance(first))
+    counts = [0] * len(amplitudes)
+    size = min(block, end - first)
+    u, work = np.empty((size, 4)), np.empty((_WORK_ROWS, size))
+    for start in range(first, end, block):
+        if stop.is_set():
+            break
+        n = min(block, end - start)
+        rng.random(out=u[:n])
+        for k, count in enumerate(_score_block(u[:n], amplitudes, work[:, :n])):
+            counts[k] += count
+    return counts
 
 
 def _score_block(u: np.ndarray, amplitudes: Sequence[float], work: np.ndarray) -> list[int]:

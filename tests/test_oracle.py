@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ledid
-from ledid import McConfig, ParameterError, agreement_report, mc_ber_bfsk, oracle
+from ledid import McConfig, ParameterError, agreement_report, cli, mc_ber_bfsk, oracle
 
 
 def analytic(snr):
@@ -290,6 +291,119 @@ class TestTieWindow:
         seen = TestCertifiedScoring._exact_rows(monkeypatch)
         agreement_report((0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0), 1_000_000, 42)
         assert sum(seen) == 2
+
+
+class TestSplitRuns:
+    """Trials cut into runs at block boundaries count as one run does."""
+
+    @staticmethod
+    def _runs(monkeypatch):
+        # The (first, end) trials of each run _error_counts scores.
+        seen = []
+        score_run = oracle._score_run
+
+        def recording(seed, first, end, *args):
+            seen.append((first, end))
+            return score_run(seed, first, end, *args)
+
+        monkeypatch.setattr(oracle, "_score_run", recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
+    def test_counts_equal_the_exact_construction(self, monkeypatch, runs, seed):
+        monkeypatch.setattr(oracle, "_BATCH_TRIALS", 97)
+        monkeypatch.setattr(oracle, "_max_runs", lambda: runs)
+        seen = self._runs(monkeypatch)
+        for trials in (1, 96, 97, 98, 680, 1_000):
+            u = np.random.Generator(np.random.Philox(seed)).random((trials, 4))
+            for snrs in TestCertifiedScoring.SNR_LISTS:
+                seen.clear()
+                expected = [exact_errors(u, math.sqrt(2.0 * snr)) for snr in snrs]
+                assert oracle._error_counts(snrs, trials, seed) == expected, (trials, snrs)
+                assert len(seen) == min(runs, -(-trials // 97))
+                starts, ends = zip(*sorted(seen))
+                assert starts[0] == 0 and ends[-1] == trials and starts[1:] == ends[:-1]
+                assert all(start % 97 == 0 for start in starts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 2 ** 64 - 1])
+    def test_an_advanced_generator_starts_at_trial_k(self, seed):
+        # Rows k .. k + m - 1 of the serial draws, bit for bit.
+        m = 50
+        for k in (0, 1, 3, 97, 1_000):
+            rows = np.random.Generator(np.random.Philox(seed)).random((k + m, 4))
+            advanced = np.random.Generator(np.random.Philox(seed).advance(k)).random((m, 4))
+            assert advanced.tobytes() == rows[k:].tobytes(), k
+
+    def test_a_report_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_max_runs", lambda: 4)
+        before = threading.active_count()
+        agreement_report((0.0, 2.0), 100_000, 3)
+        assert threading.active_count() == before
+
+
+class TestFailingRun:
+    """A run that raises stops every run, and the call raises once all are joined."""
+
+    @pytest.mark.parametrize("failing", [max, min], ids=["last-run", "callers-run"])
+    def test_every_run_stops_and_is_joined(self, monkeypatch, failing):
+        # The first block of each run waits until all three have started; then
+        # the run that ``failing`` picks by first trial raises, and the others
+        # finish their block only once the call's stop event is set. No block
+        # may start after the raise.
+        runs, trials, seed = 3, 1_000, 8
+        monkeypatch.setattr(oracle, "_BATCH_TRIALS", 97)
+        monkeypatch.setattr(oracle, "_max_runs", lambda: runs)
+        stops, score_run = [], oracle._score_run
+
+        def run_recording(*args):
+            stops.append(args[-1])
+            return score_run(*args)
+
+        monkeypatch.setattr(oracle, "_score_run", run_recording)
+        rows = np.random.Generator(np.random.Philox(seed)).random((trials, 4))
+        events, firsts, lock = [], {}, threading.Lock()
+        barrier, score_block = threading.Barrier(runs, timeout=30), oracle._score_block
+
+        def scoring(u, amplitudes, work):
+            me = threading.current_thread()
+            with lock:
+                events.append("start")
+                first = me not in firsts
+                if first:
+                    firsts[me] = int(np.flatnonzero((rows == u[0]).all(axis=1))[0])
+            if first:
+                barrier.wait()
+                if firsts[me] == failing(firsts.values()):
+                    with lock:
+                        events.append("raise")
+                    raise MemoryError
+                assert stops[0].wait(30)
+            return score_block(u, amplitudes, work)
+
+        monkeypatch.setattr(oracle, "_score_block", scoring)
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            agreement_report((0.0, 4.0), trials, seed)
+        assert threading.active_count() == before
+        assert sorted(firsts.values()) == [0, 97 * 3, 97 * 7]
+        assert len(set(stops)) == 1
+        assert events == ["start"] * runs + ["raise"]
+
+    def test_mc_verify_prints_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_max_runs", lambda: 2)
+        score_block = oracle._score_block
+
+        def scoring(u, amplitudes, work):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError
+            return score_block(u, amplitudes, work)
+
+        monkeypatch.setattr(oracle, "_score_block", scoring)
+        before = threading.active_count()
+        assert cli.main(["mc-verify", "--trials", "100000", "--seed", "7"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert threading.active_count() == before
 
 
 def _peak_rss_mib(*args):
