@@ -22,8 +22,8 @@ instead, and a ray that passes until it would probe past 1,000 km reads
 unbounded. The ladder is bounded run by run (interval branch and bound),
 from the 64 runs that two splits in eight give: ``link.segments_may_pass``
 rules out each run whose SNR bound stays below the threshold's, any other
-run is split in eight, and the steps of the runs left go through
-``evaluate_points`` in one batch, step 1 always among them, so only the
+run is split in eight and bounded again, and the steps of the runs left go
+through ``evaluate_points`` in one batch, step 1 always among them, so only the
 steps that might pass are evaluated, each once, and the answer equals the
 full ladder's; a failing step 1 gives 0. Each bisection call to
 ``evaluate_points`` takes the midpoints of the next five halvings; the
@@ -52,9 +52,7 @@ _SCAN_STEP_M = 0.01
 _SCAN_CAP_M = 100.0
 _SCAN_STEPS = int(round(_SCAN_CAP_M / _SCAN_STEP_M))
 _DISTANCE_TOL_M = 1.0e-3
-# The ladder search splits a run into _SPLIT runs, down to _LEAF_STEPS steps.
 _SPLIT = 8
-_LEAF_STEPS = 32
 _ANGLE_TOL_DEG = 0.1
 # Halvings whose midpoints _bisect evaluates in one batch. A kernel call costs
 # about 105 us and 0.7 (L1) to 1.5 (G1) us more a point, so five read the
@@ -261,23 +259,24 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
 def _ladder_candidates(scenario: Scenario, tag_id: str, probes, threshold: float) -> np.ndarray:
     """Ladder steps that might pass, in order: every passing step and step 1.
 
-    Runs of steps start as the ladder split twice into ``_SPLIT`` runs,
-    which saves the two coarser batches and drops no passing step, as each
-    run is bounded on its own segment. Each level of splitting is one batch
-    through ``segments_may_pass``, and a run it cannot rule out is split
-    into ``_SPLIT`` runs until it has at most ``_LEAF_STEPS`` steps.
-    ``probes`` maps distances to the positions the ladder evaluates.
+    Two batches through ``segments_may_pass`` rule runs out: the ladder
+    split twice into ``_SPLIT`` runs, which saves the two coarser batches
+    and drops no passing step, as each run is bounded on its own segment,
+    then the ``_SPLIT`` parts of each run the first batch keeps. The steps
+    of the runs left are kept. ``probes`` maps distances to the positions
+    the ladder evaluates.
     """
-    kept = [np.array([1])]
-    runs = _split(_split(np.array([[1, _SCAN_STEPS]])))
-    while len(runs):
+    def may_pass(runs: np.ndarray) -> np.ndarray:
         ends = probes(runs.ravel() * _SCAN_STEP_M).reshape(-1, 2, 3)
-        runs = runs[segments_may_pass(scenario, tag_id, ends[:, 0], ends[:, 1], threshold)]
-        leaf = runs[:, 1] - runs[:, 0] < _LEAF_STEPS
-        kept.extend(np.arange(first, last + 1) for first, last in runs[leaf])
-        runs = _split(runs[~leaf])
-    steps = np.sort(np.concatenate(kept))  # np.unique, at a quarter of its cost on numpy 2
-    return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+        return runs[segments_may_pass(scenario, tag_id, ends[:, 0], ends[:, 1], threshold)]
+
+    runs = may_pass(_split(_split(np.array([[1, _SCAN_STEPS]]))))  # 64 runs of 156 or 157 steps
+    runs = may_pass(_split(runs))  # runs of 19 or 20 steps
+    # The runs are disjoint and in order, so their steps are too.
+    kept = [np.arange(first, last + 1) for first, last in runs]
+    if not kept or kept[0][0] != 1:
+        kept.insert(0, np.array([1]))
+    return np.concatenate(kept)
 
 
 def _split(runs: np.ndarray) -> np.ndarray:

@@ -92,7 +92,8 @@ _BLOCK_POSITIONS = 128
 # On the rows the kernel passes it, fsum took 17, 22 and 34 us against 29,
 # 31 and 57 for the extraction at 93 terms (L1), 270 (G1) and 512 (a 256-lamp
 # ceiling), and 45, 37 and 66 against 38, 33 and 67 at 381, 558 and 1,536
-# (minima of 9 runs, 2-vCPU Xeon, numpy 2.4).
+# (minima of 9 runs, 2-vCPU Xeon, numpy 2.4). Without the switch the
+# benchmark's planning median op took 2.6% longer (9 of 10 interleaved pairs).
 _FSUM_TERMS = 512
 # Relative margin on every bound of segments_may_pass: lengths (distances
 # and dot products) widen by it times the magnitude of the coordinates
@@ -271,15 +272,16 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     ParameterError when the budget at any position is not finite.
     """
     per_point = isinstance(data_tag_id, (list, tuple, np.ndarray))
-    scenario.check_tags(data_tag_id if per_point else (data_tag_id,))
     points = _as_points(positions)
-    lamps = scenario.luminaire_arrays
     tags = np.asarray(data_tag_id)
     if per_point and tags.shape != (len(points),):
-        raise ParameterError(f"expected one data tag per position, got {len(tags)} for {len(points)}")
+        raise ParameterError(f"expected one data tag per position, got shape {tags.shape} "
+                             f"for {len(points)} positions")
+    scenario.check_tags(data_tag_id if per_point else (data_tag_id,))
+    lamps = scenario.luminaire_arrays
 
     # One workspace of seven (lamps, positions) arrays serves every block: the
-    # gains luminaire_gains leaves, the signal terms, a spare, then the rows
+    # gains _luminaire_gains leaves, the signal terms, a spare, then the rows
     # to sum: h_data, received power, signal and interference.
     n, k = len(points), len(lamps.tags)
     step = max(1, _BLOCK_PAIRS // k, min(_BLOCK_POSITIONS, 4 * _BLOCK_PAIRS // k))
@@ -310,24 +312,13 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
                          for column in (h_data, received, signal, interference, noise, snrs, bers)))
 
 
-def luminaire_gains(scenario: "Scenario", positions, work=None) -> np.ndarray:
-    """Channel gain of every luminaire at every receiver position.
-
-    Returns an (n, luminaires) float64 array whose entry ``[i, j]`` is
-    bit-identical to ``channel_gain`` from luminaire ``j`` to a receiver at
-    position ``i`` facing ``scenario.receiver_axis``. It is a transposed
-    view, lamps-major in memory, of the first of the seven (luminaires, n)
-    arrays it is computed in, held in ``work`` (7 n luminaires floats) or new.
-    """
-    return _luminaire_gains(scenario, _as_points(positions), work)
-
-
-def _luminaire_gains(scenario: "Scenario", points: np.ndarray, work) -> np.ndarray:
-    # luminaire_gains on positions _as_points has already checked.
+def _luminaire_gains(scenario: "Scenario", points: np.ndarray, work: np.ndarray) -> np.ndarray:
+    # channel_gain of every lamp at every checked position, the receiver facing
+    # scenario.receiver_axis: an (n, lamps) view of the first of the seven
+    # (lamps, n) arrays ``work`` holds, where entry [j, i] pairs lamp j with
+    # position i.
     lamps = scenario.luminaire_arrays
-    shape = (len(lamps.tags), len(points))
-    # Entry [j, i] of each array pairs luminaire j with position i.
-    arrays = (np.empty(7 * shape[0] * shape[1]) if work is None else work).reshape(7, *shape)
+    arrays = work.reshape(7, len(lamps.tags), len(points))
     dx, dy, dz, d, cos_theta, cos_psi, tmp = arrays
     np.subtract(points.T[:, None, :], lamps.tx.T[:, :, None], out=arrays[:3])
 

@@ -559,6 +559,7 @@ class TestLadderSearch:
 
         kept = analysis._ladder_candidates(scenario, "t", ladder_probes(scenario, "t"), threshold)
         assert kept[0] == 1
+        assert (np.diff(kept) > 0).all()
         assert set((np.flatnonzero(passing) + 1).tolist()) <= set(kept.tolist())
 
         pruned = coverage_hex(scenario, "t", threshold)
@@ -774,6 +775,21 @@ class TestSegmentBoundAlongSegments:
             bad, ruled_out = passing_points_ruled_out(scenario, tag, start, end, threshold)
             assert bad == 0
             assert ruled_out > 0
+
+    def test_a_grazing_lamp_keeps_its_segment(self):
+        # The segment lies in the plane of the lamp's face: both ends compute
+        # cos(theta) = 0 and are dark, but rounding puts some of the points
+        # between them just in front of the lamp, and a 1e100 W lamp lights
+        # those enough to read. Only the slack on the upper cosine bound keeps
+        # the segment; without it the bound sees an unlit lamp.
+        lamp = Luminaire("t", Pose(Vec3(0.0, 0.0, 3.0), Vec3(0.6, 0.8, 0.0)),
+                         EmitterModel(power_w=1e100, semi_angle_deg=60.0))
+        scenario = Scenario(room=Room(4.0, 4.0, 3.0), luminaires=(lamp,), detector=DET,
+                            noise=NoiseParams(thermal_a2=1e-8))
+        start, end = np.array([[0.8, -0.6, 2.0]]), np.array([[-0.8, 0.6, 2.0]])
+        ber = np.array(evaluate_points(scenario, segment_points(start, end), "t").ber)
+        assert ber[[0, -1]].tolist() == [0.5, 0.5] and (ber <= 1e-2).any()
+        assert passing_points_ruled_out(scenario, "t", start, end, 1e-2) == (0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_layouts, st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),

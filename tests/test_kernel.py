@@ -295,10 +295,11 @@ class TestPerPositionTags:
         with pytest.raises(GeometryError, match="coincide"):
             evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.16, 0.0, 2.0)], ["inner", "outer-left"])
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_one_tag_per_position_or_a_parameter_error(self, count):
+    @pytest.mark.parametrize("tags", [["inner"], ["inner"] * 3, np.array("inner"), np.array([["inner"]] * 2)],
+                             ids=["1", "3", "0-d", "n-by-1"])
+    def test_one_tag_per_position_or_a_parameter_error(self, tags):
         with pytest.raises(ParameterError, match="one data tag per position"):
-            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)], ["inner"] * count)
+            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)], tags)
 
 
 class TestGridColumns:
@@ -310,7 +311,8 @@ class TestGridColumns:
             grid = evaluate_grid(scenario, 0.7, 6, "odd")
             z = scenario.room.height_m - 0.7
             points = [(x, y, z) for y in grid.y_centers_m for x in grid.x_centers_m]
-            gains = link.luminaire_gains(scenario, points)
+            work = np.empty(7 * len(points) * len(scenario.luminaires))
+            gains = link._luminaire_gains(scenario, np.array(points), work)
             assert gains.shape == (len(points), len(scenario.luminaires))
             for row, p in zip(gains, points):
                 rx = Pose(Vec3(*p), scenario.receiver_axis)
