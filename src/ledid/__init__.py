@@ -39,7 +39,7 @@ from .link import (
     snr,
 )
 from .noise import ELECTRON_CHARGE_C, NoiseParams, shot_noise_variance, total_noise_variance
-from .oracle import AgreementPoint, McConfig, agreement_report, mc_ber_bfsk
+from .oracle import AgreementPoint, agreement_report
 from .scenario import (
     BerGrid,
     Luminaire,
@@ -68,7 +68,6 @@ __all__ = [
     "LinkBudget",
     "LinkColumns",
     "Luminaire",
-    "McConfig",
     "ModulationParams",
     "NoiseParams",
     "ParameterError",
@@ -100,7 +99,6 @@ __all__ = [
     "load_scenario",
     "load_scenario_file",
     "load_scenario_with_defaults",
-    "mc_ber_bfsk",
     "radiant_intensity",
     "resolvability",
     "scenario_critical_distance",

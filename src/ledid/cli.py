@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path_text: str) -> tuple[Scenario, tuple[str, ...]]:
     path = Path(path_text)
-    if not path.is_file():
+    if not (path.is_file() or path.is_fifo()):  # a pipe, as from <(...); never a device
         raise _UsageError(f"scenario file not found: {path_text}")
     try:
         text = read_scenario_text(path)

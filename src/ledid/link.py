@@ -349,8 +349,10 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
     lit test, gain, signal terms and noise on these bounds bound the SNR
     from above. A segment is ruled out (False) only when that bound is below
     the threshold's SNR and every upper bound is finite, so a position on a
-    lamp, or one whose budget overflows, lies in a kept segment.
+    lamp, or one whose budget overflows, lies in a kept segment. A tag that
+    no lamp carries raises TagNotFoundError.
     """
+    scenario.check_tags((tag_id,))
     # A position reads when 0.5 exp(-snr / 2) <= threshold, i.e. snr >=
     # -2 ln(2 threshold). Below this target, with the margin, the error rate
     # exceeds threshold * (1 + margin): rounding in exp and log cannot pass.

@@ -25,7 +25,7 @@ Trials are drawn and scored in blocks of ``_BATCH_TRIALS``, so memory is
 fixed whatever the number of trials. All points of one ``agreement_report``
 share the seed, so the report draws each block of uniforms once and scores
 every SNR against those same draws before it draws the next block. Each
-point is bit-identical to ``mc_ber_bfsk`` run alone at its SNR.
+point is bit-identical to the one-SNR report of its SNR.
 
 The blocks are cut into P contiguous runs, P the least of 4, the CPUs the
 process may run on and the number of blocks, and the runs are scored at
@@ -93,33 +93,6 @@ _ERRORLESS_SNR = 162.0
 
 # Block-length float rows that _score_block computes in.
 _WORK_ROWS = 4
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """One Monte Carlo run: operating point, sample size, seed."""
-
-    snr: float
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.snr >= 0.0:
-            raise ParameterError(f"SNR must be >= 0, got {self.snr}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {self.trials}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-
-def mc_ber_bfsk(config: McConfig) -> tuple[float, float]:
-    """Estimate the BFSK bit error rate by simulated envelope detection.
-
-    Returns ``(estimate, std_error)`` where ``std_error`` is the binomial
-    standard error sqrt(p (1 - p) / trials) of the estimate itself.
-    """
-    (errors,) = _error_counts((config.snr,), config.trials, config.seed)
-    return _estimate(errors, config.trials)
 
 
 def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
@@ -251,11 +224,6 @@ def _gaussian(radius_squared: np.ndarray, u_phase: np.ndarray, trig, out=None, s
     return gaussian
 
 
-def _estimate(errors: int, trials: int) -> tuple[float, float]:
-    estimate = errors / trials
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
-
-
 @dataclass(frozen=True)
 class AgreementPoint:
     """Analytic-vs-estimate comparison at one SNR."""
@@ -271,15 +239,23 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
     """Compare the estimator against exp(-snr/2)/2 at each SNR.
 
     Every point uses the same seed and is scored against the same draws
-    (see the module docstring); each equals ``mc_ber_bfsk`` at its SNR bit
-    for bit. ``trials``, ``seed`` and every SNR are checked before anything is drawn.
+    (see the module docstring), so it equals its one-SNR report
+    ``agreement_report((snr,), trials, seed)[0]`` bit for bit. ``std_error``
+    is the binomial standard error sqrt(p (1 - p) / trials) of the estimate p.
+    ``trials``, ``seed`` and every SNR are checked before anything is drawn.
     """
     for snr in snr_values or (0.0,):
-        McConfig(snr=snr, trials=trials, seed=seed)
+        if not snr >= 0.0:
+            raise ParameterError(f"SNR must be >= 0, got {snr}")
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise ParameterError(f"trials must be a positive integer, got {trials}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
     points = []
     for snr, errors in zip(snr_values, _error_counts(snr_values, trials, seed)):
         analytic = ber_bfsk(snr)
-        estimate, std_error = _estimate(errors, trials)
+        estimate = errors / trials
+        std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
         ok = abs(estimate - analytic) <= 3.0 * std_error
         points.append(AgreementPoint(snr, analytic, estimate, std_error, ok))
     return tuple(points)

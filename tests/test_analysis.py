@@ -712,6 +712,11 @@ class TestSegmentBound:
             assert not kept[lit & (snr < 0.999 * target)].any()
             assert (lit & (snr < 0.999 * target)).sum() > 500
 
+    def test_an_unknown_tag_raises(self):
+        points = np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(TagNotFoundError, match="no luminaire carries tag 'nope'"):
+            segments_may_pass(builtin_l1(), "nope", points, points, 1e-2)
+
 
 class TestNoiselessBound:
     """``segments_may_pass`` where no noise and no interference reach a position."""

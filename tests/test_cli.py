@@ -70,6 +70,12 @@ class TestValidate:
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_a_directory_or_a_device_is_a_usage_error(self, tmp_path, capsys):
+        # Only a regular file or a pipe is read: /dev/zero would never end.
+        for path in [str(tmp_path)] + (["/dev/zero"] if os.path.exists("/dev/zero") else []):
+            assert main(["validate", path]) == 2
+            assert capsys.readouterr().err == f"usage error: scenario file not found: {path}\n"
+
     def test_unreadable_file_is_a_usage_error(self, capsys, monkeypatch):
         # A permission bit does not stop root, so the read itself is made to fail.
         def refuse(path):

@@ -23,6 +23,7 @@ document holding one of them is checked only where both loaders succeed:
 
 import contextlib
 import io
+import os
 import re
 import sys
 import tempfile
@@ -287,6 +288,18 @@ def validate_stdout(path, capsys):
 
 def test_validate_prints_the_pinned_l1_report(capsys):
     assert validate_stdout(builtin_scenario_path("l1"), capsys) == VALIDATE_L1
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this system")
+def test_validate_reads_the_scenario_from_a_pipe(capsys):
+    # As from `ledid validate <(cat l1.yaml)`: the path names the read end of a pipe.
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as writer:  # L1 fits in the pipe's buffer
+        writer.write(builtin_scenario_path("l1").read_bytes())
+    try:
+        assert validate_stdout(f"/dev/fd/{read_end}", capsys) == VALIDATE_L1
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

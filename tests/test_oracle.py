@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import ledid
-from ledid import McConfig, ParameterError, agreement_report, cli, mc_ber_bfsk, oracle
+from ledid import ParameterError, agreement_report, cli, oracle
 
 
 def analytic(snr):
@@ -38,58 +39,65 @@ def reference_estimate(snr, trials, seed):
     return errors / trials
 
 
+def one_snr(snr, trials, seed):
+    point, = agreement_report((snr,), trials, seed)
+    return point.estimate, point.std_error
+
+
 class TestMcBerBfsk:
+    """One-SNR reports: the estimate and standard error at a single SNR."""
+
     def test_zero_snr_is_a_fair_coin(self):
-        estimate, std_error = mc_ber_bfsk(McConfig(snr=0.0, trials=200_000, seed=1))
+        estimate, std_error = one_snr(0.0, 200_000, 1)
         assert abs(estimate - 0.5) <= 3.0 * std_error
 
     def test_matches_analytic_at_the_one_percent_point(self):
         snr = 2.0 * math.log(50.0)
-        estimate, std_error = mc_ber_bfsk(McConfig(snr=snr, trials=1_000_000, seed=7))
+        estimate, std_error = one_snr(snr, 1_000_000, 7)
         assert abs(estimate - 1e-2) <= 3.0 * std_error
         assert std_error == pytest.approx(3e-4, rel=0.75)
 
     def test_fixed_seed_reproduces_bit_identical_results(self):
-        config = McConfig(snr=4.0, trials=100_000, seed=123456789)
-        assert mc_ber_bfsk(config) == mc_ber_bfsk(config)
+        assert one_snr(4.0, 100_000, 123456789) == one_snr(4.0, 100_000, 123456789)
 
     def test_different_seeds_differ(self):
-        a, _ = mc_ber_bfsk(McConfig(snr=0.0, trials=100_000, seed=1))
-        b, _ = mc_ber_bfsk(McConfig(snr=0.0, trials=100_000, seed=2))
+        a, _ = one_snr(0.0, 100_000, 1)
+        b, _ = one_snr(0.0, 100_000, 2)
         assert a != b
 
     def test_matches_the_documented_construction_exactly(self):
         for snr, seed in ((0.0, 3), (5.5, 99)):
-            estimate, _ = mc_ber_bfsk(McConfig(snr=snr, trials=50_000, seed=seed))
+            estimate, _ = one_snr(snr, 50_000, seed)
             assert estimate == reference_estimate(snr, 50_000, seed)
 
     def test_batching_does_not_change_the_stream(self):
         # More trials than one internal batch; trial i must keep draws
         # 4 i .. 4 i + 3 regardless of batch boundaries.
         trials = (1 << 20) + 4_321
-        estimate, _ = mc_ber_bfsk(McConfig(snr=2.0, trials=trials, seed=11))
+        estimate, _ = one_snr(2.0, trials, 11)
         assert estimate == reference_estimate(2.0, trials, 11)
 
     def test_std_error_formula(self):
-        estimate, std_error = mc_ber_bfsk(McConfig(snr=1.0, trials=10_000, seed=5))
+        estimate, std_error = one_snr(1.0, 10_000, 5)
         assert std_error == pytest.approx(
             math.sqrt(estimate * (1.0 - estimate) / 10_000), rel=1e-12)
 
     def test_invalid_configs_raise(self):
-        with pytest.raises(ParameterError):
-            McConfig(snr=1.0, trials=0, seed=1)
-        with pytest.raises(ParameterError):
-            McConfig(snr=-0.5, trials=10, seed=1)
-        with pytest.raises(ParameterError):
-            McConfig(snr=1.0, trials=10, seed=-1)
-        with pytest.raises(ParameterError):
-            McConfig(snr=1.0, trials=10, seed=2 ** 64)
+        for snr, trials, seed, message in (
+                (1.0, 0, 1, "trials must be a positive integer, got 0"),
+                (1.0, True, 1, "trials must be a positive integer, got True"),
+                (-0.5, 10, 1, "SNR must be >= 0, got -0.5"),
+                (math.nan, 10, 1, "SNR must be >= 0, got nan"),
+                (1.0, 10, -1, "seed must be a 64-bit unsigned integer, got -1"),
+                (1.0, 10, 2 ** 64, f"seed must be a 64-bit unsigned integer, got {2 ** 64}")):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                agreement_report((snr,), trials, seed)
 
     def test_bool_seed_raises(self):
         # bool is an int subclass; True must not run as seed 1.
         message = "seed must be a 64-bit unsigned integer, got True"
         with pytest.raises(ParameterError, match=message):
-            McConfig(snr=1.0, trials=100, seed=True)
+            agreement_report((1.0,), trials=100, seed=True)
         with pytest.raises(ParameterError, match=message):
             agreement_report((0.0, 1.0), trials=100, seed=True)
 
@@ -129,9 +137,9 @@ class TestSharedDraws:
         points = agreement_report(snrs, trials, seed)
         assert [p.snr for p in points] == list(snrs)
         for point in points:
-            estimate, std_error = mc_ber_bfsk(McConfig(snr=point.snr, trials=trials, seed=seed))
-            assert point.estimate == estimate
-            assert point.std_error == std_error
+            alone, = agreement_report((point.snr,), trials, seed)
+            assert point.estimate == alone.estimate
+            assert point.std_error == alone.std_error
 
     @pytest.mark.parametrize("snrs", [(0.0, 1.0, math.nan), (4.0, -1.0, 2.0)], ids=["nan-last", "negative"])
     def test_bad_snr_raises_before_drawing(self, monkeypatch, snrs):
@@ -153,7 +161,7 @@ class TestBlockBoundaries:
         monkeypatch.setattr(oracle, "_BATCH_TRIALS", block)
         for trials in (k * block - 1, k * block, k * block + 1):
             expected = [reference_estimate(snr, trials, 17) for snr in self.SNRS]
-            alone = [mc_ber_bfsk(McConfig(snr=snr, trials=trials, seed=17))[0] for snr in self.SNRS]
+            alone = [one_snr(snr, trials, 17)[0] for snr in self.SNRS]
             assert alone == expected, trials
             assert [p.estimate for p in agreement_report(self.SNRS, trials, 17)] == expected, trials
 
