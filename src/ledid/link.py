@@ -165,13 +165,16 @@ class LinkColumns:
 class LuminaireArrays:
     """A scenario's luminaires as the batch kernel reads them.
 
-    Entry ``j`` of every array belongs to luminaire ``j``: its tag, optical
-    power, modulation depth, baseband power, position (row of ``tx``), axis
-    (row of ``tx_axis``) and Lambertian order, as the same floats the
-    models hold. The arrays are read-only, so one set can serve every call.
+    Entry ``j`` of every array belongs to luminaire ``j``: its tag, the
+    tag's code (from ``tag_codes``: its index in the scenario's tags()),
+    optical power, modulation depth, baseband power, position (row of
+    ``tx``), axis (row of ``tx_axis``) and Lambertian order, as the same
+    floats the models hold. The arrays are read-only, so one set can serve
+    every call.
     """
 
     tags: np.ndarray
+    codes: np.ndarray
     power: np.ndarray
     mod_index: np.ndarray
     baseband: np.ndarray
@@ -180,9 +183,10 @@ class LuminaireArrays:
     order: np.ndarray
 
     @classmethod
-    def of(cls, luminaires: Sequence) -> "LuminaireArrays":
+    def of(cls, luminaires: Sequence, tag_codes: dict[str, int]) -> "LuminaireArrays":
         arrays = (
             np.array([lum.tag for lum in luminaires]),
+            np.array([tag_codes[lum.tag] for lum in luminaires]),
             np.array([lum.emitter.power_w for lum in luminaires]),
             np.array([lum.modulation.mod_index for lum in luminaires]),
             np.array([lum.modulation.baseband_power for lum in luminaires]),
@@ -273,11 +277,12 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     """
     per_point = isinstance(data_tag_id, (list, tuple, np.ndarray))
     points = _as_points(positions)
-    tags = np.asarray(data_tag_id)
-    if per_point and tags.shape != (len(points),):
-        raise ParameterError(f"expected one data tag per position, got shape {tags.shape} "
+    if per_point and np.shape(data_tag_id) != (len(points),):
+        raise ParameterError(f"expected one data tag per position, got shape {np.shape(data_tag_id)} "
                              f"for {len(points)} positions")
-    scenario.check_tags(data_tag_id if per_point else (data_tag_id,))
+    # Each position's data tag as its code; one tag fills every position.
+    wanted = np.empty(len(points), dtype=np.intp)
+    wanted[:] = scenario.tag_codes(data_tag_id if per_point else (data_tag_id,))
     lamps = scenario.luminaire_arrays
 
     # One workspace of seven (lamps, positions) arrays serves every block: the
@@ -298,7 +303,7 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
         _signal_terms(scenario, h, incident, terms)
         # Zeros where a lamp is not the position's data tag: adding +0.0 is
         # exact, and _row_sums counts only the nonzero terms.
-        data = (tags[start:start + step, None] if per_point else tags) == lamps.tags
+        data = wanted[start:start + step, None] == lamps.codes
         np.copyto(h_data, h, where=data)
         np.copyto(signal, terms, where=data)
         np.copyto(interference, terms, where=~data)
@@ -350,13 +355,23 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
     from above. A segment is ruled out (False) only when that bound is below
     the threshold's SNR and every upper bound is finite, so a position on a
     lamp, or one whose budget overflows, lies in a kept segment. A tag that
-    no lamp carries raises TagNotFoundError.
+    no lamp carries raises TagNotFoundError. Segments are bounded in blocks
+    of about _BLOCK_PAIRS (segment, lamp) pairs, each on its own, so memory
+    does not grow with the batch.
     """
-    scenario.check_tags((tag_id,))
+    code, = scenario.tag_codes((tag_id,))
     # A position reads when 0.5 exp(-snr / 2) <= threshold, i.e. snr >=
     # -2 ln(2 threshold). Below this target, with the margin, the error rate
     # exceeds threshold * (1 + margin): rounding in exp and log cannot pass.
     target = -2.0 * math.log(2.0 * threshold * (1.0 + _BOUND_MARGIN))
+    step = max(1, _BLOCK_PAIRS // len(scenario.luminaires))
+    return np.concatenate([_block_may_pass(scenario, code, start[first:first + step], end[first:first + step],
+                                           target) for first in range(0, len(start) or 1, step)])
+
+
+def _block_may_pass(scenario: "Scenario", code: int, start: np.ndarray, end: np.ndarray,
+                    target: float) -> np.ndarray:
+    # segments_may_pass for the data tag of code ``code`` and the SNR target.
     lamps = scenario.luminaire_arrays
     rx = scenario.receiver_axis
     up, down = 1.0 + _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
@@ -390,7 +405,7 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
         margin = np.repeat((up, down), n)
         # [segment, lamp] rows in C order, so each sum over lamps runs along memory.
         incident, terms = _signal_terms(scenario, np.multiply(h.T, margin[:, None], order="C"))
-        data = lamps.tags == tag_id
+        data = lamps.codes == code
         signal_hi = terms[:n, data].sum(axis=1) * up
         interference = terms[:, ~data].sum(axis=1) * margin
         power = incident.sum(axis=1) * margin

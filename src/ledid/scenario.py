@@ -129,18 +129,23 @@ class Scenario:
     @cached_property
     def luminaire_arrays(self) -> LuminaireArrays:
         """The luminaires as read-only arrays for the batch kernel, built on first use."""
-        return LuminaireArrays.of(self.luminaires)
+        return LuminaireArrays.of(self.luminaires, self._tag_index)
 
     @cached_property
-    def _tag_index(self) -> dict[str, None]:
-        """The distinct tags the luminaires carry, in first-appearance order, built on first use."""
-        return dict.fromkeys(lum.tag for lum in self.luminaires)
+    def _tag_index(self) -> dict[str, int]:
+        """Each distinct tag the luminaires carry by its code, its index in first-appearance order."""
+        return {tag: code for code, tag in enumerate(dict.fromkeys(lum.tag for lum in self.luminaires))}
 
     def check_tags(self, tag_ids) -> None:
         """Raise TagNotFoundError for the first of ``tag_ids`` that no luminaire carries."""
         if not self._tag_index.keys() >= set(tag_ids):
             unknown = next(tag for tag in tag_ids if tag not in self._tag_index)
             raise TagNotFoundError(f"no luminaire carries tag {unknown!r}")
+
+    def tag_codes(self, tag_ids) -> list[int]:
+        """The code of each of ``tag_ids``, its index in tags(), after check_tags."""
+        self.check_tags(tag_ids)
+        return list(map(self._tag_index.__getitem__, tag_ids))
 
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""
@@ -227,18 +232,20 @@ def _model_keys(model: type) -> tuple[tuple[str, object], ...]:
     return tuple((f.name, f.default) for f in fields(model) if f.init)
 
 
-# (section, required, keys): each section's keys in document order with
-# their defaults, MISSING marking a required key. Keys named after a
-# model's fields take that model's defaults, so each default lives in one
-# place; the models' own checks are the only physical constraints.
-_SCHEMA = (
+# (section, required, keys, allowed): each section's keys in document order
+# with their defaults, MISSING marking a required key, and the set of them.
+# Keys named after a model's fields take that model's defaults, so each
+# default lives in one place; the models' own checks are the only physical
+# constraints.
+_SCHEMA = tuple((section, required, keys, frozenset(key for key, _ in keys)) for section, required, keys in (
     ("metadata", False, (("name", ""), ("description", ""))),
     ("room", True, _model_keys(Room)),
     ("luminaire", True, (("tag", MISSING), ("x_m", MISSING), ("y_m", MISSING), ("z_m", MISSING))
      + _model_keys(EmitterModel) + _model_keys(ModulationParams)),
     ("detector", True, _model_keys(DetectorModel)),
     ("noise", False, _model_keys(NoiseParams)),
-)
+))
+_SECTIONS = frozenset(section for section, *_ in _SCHEMA)
 # Keys holding text; every other key holds a number. Text defaults are
 # descriptive, not physics, so they are not reported as applied.
 _TEXT_KEYS = frozenset(("name", "description", "tag"))
@@ -252,6 +259,9 @@ _MAX_DEPTH = 500
 _ITEM, _KEY, _MERGE = object(), object(), object()
 # Immutable scalar values, which repeated scalars of a document may share.
 _PLAIN = (str, int, float, bool, type(None))
+# Plain scalars that read as float(text): an optional minus, ASCII digits,
+# a point and ASCII digits (no exponent, '_', '+' or sexagesimal ':').
+_DECIMAL = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
 class _DocumentLoader(CParser, SafeConstructor, Resolver):
@@ -281,69 +291,82 @@ class _DocumentLoader(CParser, SafeConstructor, Resolver):
         return data
 
     def _document(self):
-        get_event, anchors = self.get_event, {}
+        get_event, scalar, anchors = self.get_event, self._scalar, {}
         memo = {}  # plain values by (tag, text, implicit, at_key): keys and numbers repeat
         # Per open collection: [container, _ITEM, _KEY, _MERGE or the key whose
         # value comes next, the pairs merged so far, the mark of the last key].
-        stack = []
+        # top is the innermost open one, None before the root opens.
+        stack, top = [], None
         while True:
             event = get_event()
             kind = type(event)
-            at_key = bool(stack) and stack[-1][1] is _KEY
-            if kind is AliasEvent:
-                if event.anchor not in anchors:
-                    raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
-                value = anchors[event.anchor]
-                if value is _MERGE and not at_key:
-                    raise ConstructorError(None, None, "found a merge key where no key goes", event.start_mark)
+            if kind is ScalarEvent:
+                at_key = top is not None and top[1] is _KEY
+                key = (event.tag, event.value, event.implicit, at_key)
+                value = memo.get(key, memo)  # the memo itself marks a miss: no value is it
+                if value is memo:
+                    value = scalar(event, at_key)
+                    if type(value) in _PLAIN:
+                        memo[key] = value
+                if event.anchor is not None:
+                    self._anchor(anchors, event, value)
             elif kind is MappingEndEvent or kind is SequenceEndEvent:
                 value, _, merged, _ = stack.pop()
                 if merged:  # merged pairs come first
                     merged.update(value)
                     value.clear()
                     value.update(merged)
-            else:
-                if kind is ScalarEvent:
-                    key = (event.tag, event.value, event.implicit, at_key)
-                    value = memo[key] if key in memo else self._scalar(event, at_key)
-                    if type(value) in _PLAIN:
-                        memo[key] = value
-                else:
-                    if len(stack) == _MAX_DEPTH:
-                        raise ScenarioParseError("document is nested too deeply")
-                    mapping = kind is MappingStartEvent
-                    own_tag = self.DEFAULT_MAPPING_TAG if mapping else self.DEFAULT_SEQUENCE_TAG
-                    if event.tag not in (None, "!", own_tag):
-                        raise ConstructorError(None, None, f"a collection cannot take the tag {event.tag!r}",
-                                               event.start_mark)
-                    value = {} if mapping else []
-                if event.anchor in anchors:
-                    raise ComposerError(None, None, f"found duplicate anchor {event.anchor!r}", event.start_mark)
+                top = stack[-1] if stack else None
+            elif kind is AliasEvent:
+                if event.anchor not in anchors:
+                    raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
+                value = anchors[event.anchor]
+                if value is _MERGE and (top is None or top[1] is not _KEY):
+                    raise ConstructorError(None, None, "found a merge key where no key goes", event.start_mark)
+            else:  # a collection opens
+                if len(stack) == _MAX_DEPTH:
+                    raise ScenarioParseError("document is nested too deeply")
+                mapping = kind is MappingStartEvent
+                own_tag = self.DEFAULT_MAPPING_TAG if mapping else self.DEFAULT_SEQUENCE_TAG
+                if event.tag not in (None, "!", own_tag):
+                    raise ConstructorError(None, None, f"a collection cannot take the tag {event.tag!r}",
+                                           event.start_mark)
+                value = {} if mapping else []
                 if event.anchor is not None:
-                    anchors[event.anchor] = value
-                if kind is not ScalarEvent:
-                    stack.append([value, _KEY if mapping else _ITEM, None, None])
-                    continue
-            if not stack:
+                    self._anchor(anchors, event, value)
+                top = [value, _KEY if mapping else _ITEM, None, None]
+                stack.append(top)
+                continue
+            if top is None:
                 return value
-            top = stack[-1]
-            container, state, merged, _ = top
+            state = top[1]
             if state is _ITEM:
-                container.append(value)
+                top[0].append(value)
             elif state is _KEY:
                 if isinstance(value, (list, dict)):
                     raise ConstructorError(None, None, "found unhashable key", event.start_mark)
                 top[1], top[3] = value, event.start_mark
             elif state is _MERGE:
-                top[1], top[2] = _KEY, self._merge(value, merged or {}, container, stack, top[3])
-            elif state in container or (merged and state in merged):
+                top[1], top[2] = _KEY, self._merge(value, top[2] or {}, top[0], stack, top[3])
+            elif state in top[0] or (top[2] and state in top[2]):
                 raise ScenarioParseError(f"duplicate key {state!r} at line {top[3].line + 1}")
             else:
-                container[state] = value
+                top[0][state] = value
                 top[1] = _KEY
+
+    @staticmethod
+    def _anchor(anchors: dict, event, value) -> None:
+        if event.anchor in anchors:
+            raise ComposerError(None, None, f"found duplicate anchor {event.anchor!r}", event.start_mark)
+        anchors[event.anchor] = value
 
     def _scalar(self, event, at_key):
         tag = event.tag
+        if tag is None and event.implicit[0] and _DECIMAL.fullmatch(event.value):
+            # A plain decimal: YAML 1.1's float pattern holds it, float is the
+            # first implicit resolver PyYAML tries for '-' and digits, and
+            # construct_yaml_float returns float(text) for it.
+            return float(event.value)
         if tag is None or tag == "!":
             tag = self.resolve(ScalarNode, event.value, event.implicit)
         if at_key and tag == "tag:yaml.org,2002:merge":
@@ -430,44 +453,43 @@ def _read_document(doc: object) -> tuple[dict, list[str]]:
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a mapping of sections")
-    _reject_unknown(doc, tuple(section for section, _, _ in _SCHEMA), "top level")
+    _reject_unknown(doc, _SECTIONS, "top level")
     values: dict = {}
     applied: list[str] = []
-    for section, required, keys in _SCHEMA:
+    for section, required, keys, allowed in _SCHEMA:
         if required and section not in doc:
             raise ScenarioParseError(f"{section}: missing required section")
         body = doc.get(section, {})
         if section == "luminaire":
             if not isinstance(body, list) or not body:
                 raise ScenarioParseError("luminaire: expected a non-empty list of entries")
-            values[section] = [_read_keys(entry, keys, f"luminaire[{i}]", applied)
+            values[section] = [_read_keys(entry, keys, allowed, f"luminaire[{i}]", applied)
                                for i, entry in enumerate(body)]
         else:
-            values[section] = _read_keys(body, keys, section, applied)
+            values[section] = _read_keys(body, keys, allowed, section, applied)
     return values, applied
 
 
-def _read_keys(mapping: object, keys: tuple[tuple[str, object], ...], path: str,
+def _read_keys(mapping: object, keys: tuple[tuple[str, object], ...], allowed: frozenset, path: str,
                applied: list[str]) -> dict:
     if not isinstance(mapping, dict):
         raise ScenarioParseError(f"{path}: expected a mapping")
-    _reject_unknown(mapping, tuple(key for key, _ in keys), path)
+    _reject_unknown(mapping, allowed, path)
     values = {}
     for key, default in keys:
-        if key not in mapping:
+        value = mapping.get(key, MISSING)
+        if value is MISSING:
             if default is MISSING:
                 raise ScenarioParseError(f"{path}.{key}: missing required key")
             if key not in _TEXT_KEYS:
                 applied.append(f"{path}.{key}")
-            values[key] = default
-            continue
-        value = mapping[key]
-        if key in _TEXT_KEYS:
+            value = default
+        elif key in _TEXT_KEYS:
             if not isinstance(value, str):
                 raise ScenarioParseError(f"{path}.{key}: expected a string, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioParseError(f"{path}.{key}: expected a number, got {value!r}")
-        else:
+        elif type(value) is not float:  # a float is kept as it is
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ScenarioParseError(f"{path}.{key}: expected a number, got {value!r}")
             try:
                 value = float(value)
             except OverflowError:
@@ -476,11 +498,12 @@ def _read_keys(mapping: object, keys: tuple[tuple[str, object], ...], path: str,
     return values
 
 
-def _reject_unknown(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
-    # YAML keys may mix types (`1: x`), which plain sorting cannot compare.
-    unknown = sorted((k for k in mapping if k not in allowed), key=str)
-    if unknown:
-        raise ScenarioParseError(f"{path}: unknown key {unknown[0]!r}")
+def _reject_unknown(mapping: dict, allowed: frozenset, path: str) -> None:
+    if not mapping.keys() <= allowed:
+        # The first unknown key in sorted order; YAML keys may mix types
+        # (`1: x`), which plain sorting cannot compare.
+        unknown = min((k for k in mapping if k not in allowed), key=str)
+        raise ScenarioParseError(f"{path}: unknown key {unknown!r}")
 
 
 def _build(prefix: str, model: type, *args, **kwargs):

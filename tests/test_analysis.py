@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bench_documents import bench_gen
-from ledid import analysis
+from ledid import analysis, link
 from ledid import (
     DetectorModel,
     ELECTRON_CHARGE_C,
@@ -156,8 +157,9 @@ def per_tag_resolvability(scenario, plane_m, threshold=1e-2):
 
 
 def generated_ceiling(n, seed):
-    # The benchmark's n x n ceilings: 8 x 8 at 0.4 m with 16 tags, 16 x 16 at 0.5 m with 64.
-    pitch, tags = {8: (0.4, 16), 16: (0.5, 64)}[n]
+    # The benchmark's n x n ceilings: 8 x 8 at 0.4 m with 16 tags, 16 x 16 at
+    # 0.5 m with 64; larger ones at 0.4 m with 16 tags.
+    pitch, tags = {16: (0.5, 64)}.get(n, (0.4, 16))
     return load_scenario(bench_gen().ceiling(f"ceiling-{n}x{n}", n, pitch, tags, random.Random(seed)))
 
 
@@ -872,3 +874,195 @@ class TestBatchedBisection:
         assert analysis._bisect(passes, lo, hi, tol).hex() == expected.hex()
         assert len(calls) == -(-halvings // analysis._BISECT_LEVELS)
         assert all(0 < len(batch) <= 2 ** analysis._BISECT_LEVELS - 1 for batch in calls)
+
+
+def brute_spacing(p):
+    """The least spacing of two of the columns of ``p`` (x, y, z rows), over every pair in Vec3.norm's order."""
+    x, y, z = np.asarray(p, dtype=float)
+    best = math.inf
+    for i in range(len(x) - 1):
+        dx, dy, dz = x[i] - x[i + 1:], y[i] - y[i + 1:], z[i] - z[i + 1:]
+        best = min(best, float(np.sqrt((dx * dx + dy * dy) + dz * dz).min()))
+    return best
+
+
+def random_layout(rng, kind):
+    """Lamp positions (x, y, z rows) of one of eight kinds, 2 to 60 lamps."""
+    n = int(rng.integers(2, 61))
+    p = rng.uniform(-2.0, 2.0, (3, n))
+    if kind == 1:  # on a coarse lattice: coincident lamps and exact ties
+        p = np.round(4.0 * p) / 4.0
+    elif kind == 2:  # columns sharing x
+        p[0] = np.round(p[0])
+    elif kind == 3:  # one row sharing y and z
+        p[1:] = p[1:, :1]
+    elif kind == 4:  # a tight cluster far from the origin
+        p = rng.uniform(-1e-3, 1e-3, (3, n)) + rng.uniform(-1e6, 1e6)
+    elif kind == 5:  # a jittered lattice, one lamp moved next to another
+        m = int(rng.integers(2, 9))
+        p = lattice(m, 0.4) + rng.uniform(-0.05, 0.05, (3, m * m))
+        p[:, -1] = p[:, 0] + rng.uniform(-0.01, 0.01, 3)
+    elif kind == 6:  # a pair far closer than 1e-100, which the cells do not resolve
+        p[:, 1] = p[:, 0] + rng.uniform(-1e-120, 1e-120, 3)
+    elif kind == 7:  # spacings whose squares overflow
+        p *= 1e200
+    return p
+
+
+def lattice(m, pitch, z=3.0):
+    """An m x m lattice of the given pitch centred on the origin, x, y, z rows."""
+    ix, iy = np.meshgrid(np.arange(m), np.arange(m))
+    return np.stack(((ix.ravel() - (m - 1) / 2) * pitch, (iy.ravel() - (m - 1) / 2) * pitch, np.full(m * m, z)))
+
+
+def lamps_at(p, semi_angle_deg=25.0):
+    emitter = EmitterModel(power_w=1.0, semi_angle_deg=semi_angle_deg)
+    lamps = tuple(Luminaire(f"t{i}", Pose(Vec3(*c), DOWN), emitter) for i, c in enumerate(np.transpose(p).tolist()))
+    return Scenario(room=Room(20.0, 20.0, 3.0), luminaires=lamps, detector=DET)
+
+
+class TestSpacingSearch:
+    """``scenario_critical_distance``'s spacing search against the minimum over every pair."""
+
+    def test_random_layouts(self):
+        rng = np.random.default_rng(30)
+        for k in range(1000):
+            p = random_layout(rng, k % 8)
+            with np.errstate(over="ignore"):  # the squares of kind 7 overflow, to inf
+                assert analysis._min_spacing(p).hex() == brute_spacing(p).hex(), (k, p)
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40, 48])
+    def test_bench_ceilings(self, n):
+        scenario = generated_ceiling(n, n)
+        p = np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
+                      for lum in scenario.luminaires]).T
+        widest = max(lum.emitter.semi_angle_deg for lum in scenario.luminaires)
+        expected = critical_overlap_distance(brute_spacing(p), widest)
+        assert scenario_critical_distance(scenario).hex() == expected.hex()
+
+    def test_a_pair_too_close_for_cells_takes_every_pair(self, monkeypatch):
+        # Spacings below 1e-100 put every lamp in one cell: all 44,850 pairs
+        # of 300 lamps, in blocks.
+        blocks = []
+        norm = analysis._norm
+        monkeypatch.setattr(analysis, "_norm", lambda v: blocks.append(v.shape[1]) or norm(v))
+        p = np.random.default_rng(34).uniform(-2.0, 2.0, (3, 300))
+        p[:, 150], p[:, 299] = (0.0, 0.0, 1.0), (1e-110, 0.0, 1.0)
+        assert analysis._min_spacing(p).hex() == brute_spacing(p).hex()
+        assert sum(blocks[1:]) == 300 * 299 // 2 and len(blocks) > 3
+
+    def test_coincident_lamps_read_zero(self):
+        p = lattice(6, 0.4)
+        p[:, 20] = p[:, 7]
+        assert scenario_critical_distance(lamps_at(p)) == 0.0
+        assert analysis._min_spacing(p) == 0.0
+
+    def test_a_single_lamp_is_unbounded(self):
+        assert scenario_critical_distance(lamps_at(lattice(1, 0.4))) == math.inf
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_lamps_sharing_x_or_y(self, axis):
+        # One line of lamps at uneven gaps along the other axis, then two such lines.
+        gaps = np.array([0.7, 0.3, 0.9, 0.30000000000000004, 1.1, 0.5])
+        line = np.zeros((3, len(gaps) + 1))
+        line[1 - axis] = np.concatenate(([0.0], np.cumsum(gaps))) - 2.0
+        line[2] = 2.5
+        expected = brute_spacing(line)
+        assert expected == (line[1 - axis, 2] - line[1 - axis, 1])
+        assert analysis._min_spacing(line).hex() == expected.hex()
+        twin = np.concatenate((line, line + np.array([[0.35], [0.35], [0.0]])), axis=1)
+        assert analysis._min_spacing(twin).hex() == brute_spacing(twin).hex()
+
+    @pytest.mark.parametrize("pitch", [0.4, 0.5, 0.1, 1.0 / 3.0])
+    def test_exact_ties_on_a_lattice(self, pitch):
+        # Every neighbouring pair of the lattice is at the pitch, up to rounding.
+        p = lattice(12, pitch)
+        assert analysis._min_spacing(p).hex() == brute_spacing(p).hex()
+        assert analysis._min_spacing(p[:, ::-1]).hex() == brute_spacing(p).hex()
+
+
+class TestTagCodes:
+    def test_per_position_tags_equal_one_call_per_tag(self):
+        # The benchmark's 16 x 16 ceiling: each lamp's foot with its own tag,
+        # then random positions with random tags; every column of the
+        # per-position call is bit-identical to the single-tag call of the
+        # position's tag.
+        scenario = generated_ceiling(16, 1)
+        lamps = scenario.luminaire_arrays
+        assert lamps.codes.tolist() == [scenario.tags().index(tag) for tag in lamps.tags.tolist()]
+        rng = np.random.default_rng(31)
+        feet = np.column_stack((lamps.tx[:, :2], np.full(len(lamps.tx), 2.0)))
+        points = np.vstack((feet, rng.uniform((-4.0, -4.0, 0.5), (4.0, 4.0, 2.9), (128, 3))))
+        tags = np.array([*lamps.tags.tolist(), *rng.choice(scenario.tags(), 128).tolist()])
+        per_position = evaluate_points(scenario, points, tags)
+        for tag in scenario.tags():
+            mine = tags == tag
+            single = evaluate_points(scenario, points, tag)
+            for f in dataclasses.fields(single):
+                got, expected = np.array(getattr(per_position, f.name)), np.array(getattr(single, f.name))
+                assert got[mine].tobytes() == expected[mine].tobytes(), (tag, f.name)
+
+
+def random_segments(scenario, tag, rng, count):
+    """Segments down from just below the tag's lamps, and segments anywhere below the ceiling."""
+    room = scenario.room
+    low = (-0.5 * room.width_m, -0.5 * room.depth_m, 0.0)
+    high = (0.5 * room.width_m, 0.5 * room.depth_m, room.height_m - 0.05)
+    lamps = np.array([[lum.pose.position.x, lum.pose.position.y, lum.pose.position.z]
+                      for lum in scenario.luminaires_for(tag)])
+    under = lamps[rng.integers(0, len(lamps), count)] - (0.0, 0.0, 0.01)
+    down = under - rng.uniform((0.0, 0.0, 0.0), (0.1, 0.1, 2.5), (count, 3))
+    start = np.vstack((under, rng.uniform(low, high, (count, 3))))
+    end = np.vstack((np.maximum(down, low), rng.uniform(low, high, (count, 3))))
+    return start, end
+
+
+class TestSegmentBlocks:
+    """``segments_may_pass`` in blocks of about ``_BLOCK_PAIRS`` pairs, each segment on its own."""
+
+    @pytest.mark.parametrize("name", ["l1", "g1", "ceiling16", "ceiling32"])
+    @pytest.mark.parametrize("block_pairs", [None, 40])
+    def test_blocks_give_the_answers_of_one_call_per_segment(self, name, block_pairs, monkeypatch):
+        scenario = {"l1": builtin_l1, "g1": builtin_g1, "ceiling16": lambda: generated_ceiling(16, 1),
+                    "ceiling32": lambda: generated_ceiling(32, 1)}[name]()
+        if block_pairs is not None:  # several blocks on L1 and G1 too
+            monkeypatch.setattr(link, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(32)
+        kept = ruled_out = 0
+        for tag in scenario.tags()[:3]:
+            start, end = random_segments(scenario, tag, rng, 40)
+            for threshold in (1e-2, 1e-3):
+                blocked = segments_may_pass(scenario, tag, start, end, threshold)
+                one_by_one = [segments_may_pass(scenario, tag, start[k:k + 1], end[k:k + 1], threshold)[0]
+                              for k in range(len(start))]
+                assert blocked.dtype == bool and blocked.tolist() == one_by_one
+                kept, ruled_out = kept + blocked.sum(), ruled_out + (~blocked).sum()
+        assert kept > 0 and ruled_out > 0
+        nothing = np.empty((0, 3))
+        assert segments_may_pass(scenario, tag, nothing, nothing, 1e-2).tolist() == []
+
+    @pytest.mark.parametrize("make, tag", [(builtin_l1, "inner"), (builtin_g1, "center"),
+                                           (lambda: load_scenario(bench_gen().single_lamp(random.Random(5))), "solo")],
+                             ids=["l1", "g1", "lamp"])
+    def test_a_query_on_few_lamps_bounds_each_batch_in_one_block(self, make, tag, monkeypatch):
+        blocks = []
+        block_may_pass = link._block_may_pass
+        monkeypatch.setattr(link, "_block_may_pass", lambda *args: blocks.append(len(args[2])) or block_may_pass(*args))
+        coverage(make(), tag)
+        assert len(blocks) == 2 and blocks[0] == 64
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # 512 segments on a 1,024-lamp ceiling: at about 28 floats a
+        # (segment, lamp) pair, one block of every pair peaked near 120 MiB.
+        scenario = generated_ceiling(32, 1)
+        tag = scenario.tags()[0]
+        start, end = random_segments(scenario, tag, np.random.default_rng(33), 256)
+        scenario.luminaire_arrays  # built before the measurement
+        tracemalloc.start()
+        try:
+            segments_may_pass(scenario, tag, start, end, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(start) == 512
+        assert peak < 8 * 2 ** 20

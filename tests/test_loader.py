@@ -24,6 +24,7 @@ document holding one of them is checked only where both loaders succeed:
 import contextlib
 import io
 import os
+import random
 import re
 import sys
 import tempfile
@@ -34,7 +35,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bench_documents import workload_documents
+from bench_documents import bench_gen, workload_documents
 from ledid import builtin_scenario_path, scenario
 from ledid.cli import main
 from ledid.errors import ScenarioParseError
@@ -311,3 +312,93 @@ def test_validate_prints_what_the_python_loader_gives(seed, tmp_path, capsys, mo
     ours = [validate_stdout(path, capsys) for path in paths]
     monkeypatch.setattr(scenario, "_DocumentLoader", PythonLoader)
     assert ours == [validate_stdout(path, capsys) for path in paths]
+
+
+# Plain decimals, which the loader reads as float(text) without PyYAML's
+# resolver: an optional minus, ASCII digits, a point and ASCII digits.
+DECIMALS = st.builds("{}{}.{}".format, st.sampled_from(["", "-"]),
+                     st.text("0123456789", min_size=1, max_size=25), st.text("0123456789", min_size=1, max_size=25))
+# Texts next to them that must still go through the resolver: integers, a
+# point with no digits on one side, a sign, '_', an exponent, sexagesimal
+# ':', non-ASCII digits and malformed points.
+NEAR_MISSES = ("1", "-0", "007", "1.", "-1.", ".5", "-.5", "+1.5", "+0.0", "1_0.5", "1.5_", "1.5e3", "1.0e+3",
+               "1.0E-3", "1:30.5", "-1:30.5", "1.5.", "1..5", "--1.5", "1,5", "0x1.8",
+               "٣.٥", "1.٥", "１.５", "1.5٣", "¹.5", ".inf", "-.inf", ".nan")
+SCALAR_TEXTS = st.one_of(
+    DECIMALS, st.sampled_from(NEAR_MISSES),
+    # A decimal with one character put inside it (not at an end, where ':'
+    # or ' ' would split the scalar).
+    st.builds(lambda text, i, ch: text[:1 + i % (len(text) - 1)] + ch + text[1 + i % (len(text) - 1):],
+              DECIMALS, st.integers(0, 60), st.sampled_from("+-_.eE:,x0٣ ")))
+# Where the scalar stands: a value, a key and an item, in block and in flow style.
+CONTEXTS = ("a: {}\n", "{}: a\n", "- {}\n", "{{a: {}}}\n", "{{{}: a}}\n", "[{}]\n")
+DECORATIONS = ("{}", "!!str {}", "!!float {}", "! {}", "'{}'", "\"{}\"")
+
+
+def typed(value):
+    """``value`` with every float as its bits and every other scalar as its type and repr."""
+    if isinstance(value, dict):
+        return "dict", [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return "list", [typed(v) for v in value]
+    if type(value) is float:
+        return "float", value.hex()
+    return type(value).__name__, repr(value)
+
+
+def typed_load(loader, text):
+    try:
+        return typed(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError, ScenarioParseError):
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(SCALAR_TEXTS, st.sampled_from(CONTEXTS), st.sampled_from(DECORATIONS))
+def test_decimal_scalars_read_as_the_safe_loader_reads_them(text, context, decoration):
+    document = context.format(decoration.format(text))
+    ours, reference = typed_load(_DocumentLoader, document), typed_load(PythonLoader, document)
+    if dialect_dependent(document) and None in (ours, reference):
+        return
+    assert ours == reference
+
+
+@pytest.mark.parametrize("text", ["-0.0", "0.0", "007.5000", "-00.10", "1" * 21 + "." + "9" * 22,
+                                  "0." + "0" * 30 + "1", "179769313486231580793728971405303415079.5"])
+def test_decimal_texts_keep_their_bits(text):
+    for context in CONTEXTS:
+        document = context.format(text)
+        assert typed_load(_DocumentLoader, document) == typed_load(PythonLoader, document)
+    assert yaml.load(f"a: {text}", Loader=_DocumentLoader)["a"].hex() == float(text).hex()
+
+
+def test_only_plain_decimals_skip_the_resolver(monkeypatch):
+    # Every other scalar, a near miss, a tagged or a quoted decimal, is resolved by PyYAML.
+    resolved = []
+    resolve = _DocumentLoader.resolve
+
+    def recording(self, kind, value, implicit):
+        resolved.append(value)
+        return resolve(self, kind, value, implicit)
+
+    monkeypatch.setattr(_DocumentLoader, "resolve", recording)
+    for text in NEAR_MISSES:
+        resolved.clear()
+        yaml.load(f"a: {text}\n", Loader=_DocumentLoader)
+        assert resolved == ["a", text], text
+    for text in ("2.0", "-0.5"):
+        for document in (f"a: {text}\n", f"a: '{text}'\n", f"a: ! {text}\n"):
+            resolved.clear()
+            yaml.load(document, Loader=_DocumentLoader)
+            assert resolved == (["a"] if document == f"a: {text}\n" else ["a", text]), document
+    assert yaml.load("a: !!str 2.0\n", Loader=_DocumentLoader) == {"a": "2.0"}
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_dense_ceilings_load_as_the_python_loader_loads_them(n):
+    # The benchmark's 16 x 16 ceiling, and generated 32 x 32 and 48 x 48 ones.
+    text = (workload_documents(1)["ceiling16"] if n == 16
+            else bench_gen().ceiling(f"ceiling-{n}x{n}", n, 0.4, 16, random.Random(n)))
+    ours = typed_load(_DocumentLoader, text)
+    assert ours is not None
+    assert ours == typed_load(PythonLoader, text)
