@@ -159,7 +159,8 @@ def scenario_critical_distance(scenario: Scenario) -> float:
     """
     if len(scenario.luminaires) < 2:
         return UNBOUNDED
-    spacing = _min_spacing(scenario.luminaire_arrays.tx.T)
+    with np.errstate(over="ignore"):  # a spacing past the largest float reads inf
+        spacing = _min_spacing(scenario.luminaire_arrays.tx.T)
     if spacing == 0.0:
         return 0.0
     widest = max(lum.emitter.semi_angle_deg for lum in scenario.luminaires)
@@ -256,11 +257,12 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
         try:
             return np.asarray(evaluate_points(scenario, points, tag_id).ber) <= threshold
         except GeometryError:
-            # A probe on a luminaire fails; halving the batch finds it.
-            if len(points) == 1:
-                return np.zeros(1, dtype=bool)
-            half = len(points) // 2
-            return np.concatenate((passes(points[:half]), passes(points[half:])))
+            # A probe on a luminaire fails; halving the distinct probes finds it (steps may repeat one).
+            unique, inverse = np.unique(points, axis=0, return_inverse=True)
+            if len(unique) == 1:
+                return np.zeros(len(points), dtype=bool)
+            half = len(unique) // 2
+            return np.concatenate((passes(unique[:half]), passes(unique[half:])))[inverse.reshape(-1)]
 
     def distances_pass(distances) -> np.ndarray:
         return passes(probes(distances))

@@ -17,6 +17,9 @@ field evaluations over dark or one-sided regions never abort. Huge but
 finite parameters (``power_w: 1e300``) can overflow the budget itself; a
 received power, signal, interference or noise that is not finite raises
 ParameterError, in both paths through the one check ``_check_budget``.
+Overflow is expected and that check is its one rule (a distance past the
+largest float gives gain 0); numpy's error state says so once per entry:
+``evaluate_points``, ``segments_may_pass``, ``analysis``'s lamp spacing.
 
 ``evaluate_link`` is the scalar reference for one position. The batch
 kernel, ``evaluate_points``, returns the same quantities for many positions
@@ -228,7 +231,7 @@ def evaluate_link(scenario: "Scenario", position: Vec3, data_tag_id: str) -> Lin
     others interfere. The shot-noise power is driven by the total incident
     optical power from both sets.
     """
-    scenario.check_tags((data_tag_id,))
+    scenario.tag_codes((data_tag_id,))
     detector = scenario.detector
     rx = Pose(position, scenario.receiver_axis)
 
@@ -292,24 +295,25 @@ def evaluate_points(scenario: "Scenario", positions, data_tag_id) -> LinkColumns
     step = max(1, _BLOCK_PAIRS // k, min(_BLOCK_POSITIONS, 4 * _BLOCK_PAIRS // k))
     work = np.empty(7 * k * min(step, n))
     sums = np.empty((4, n))
-    for start in range(0, n, step):
-        block = points[start:start + step]
-        size = k * len(block)
-        h = _luminaire_gains(scenario, block, work[:7 * size])
-        terms = work[size:2 * size].reshape(k, -1).T
-        rows = work[3 * size:7 * size].reshape(k, -1)
-        rows.fill(0.0)
-        h_data, incident, signal, interference = rows.reshape(k, 4, -1).transpose(1, 2, 0)
-        _signal_terms(scenario, h, incident, terms)
-        # Zeros where a lamp is not the position's data tag: adding +0.0 is
-        # exact, and _row_sums counts only the nonzero terms.
-        data = wanted[start:start + step, None] == lamps.codes
-        np.copyto(h_data, h, where=data)
-        np.copyto(signal, terms, where=data)
-        np.copyto(interference, terms, where=~data)
-        sums[:, start:start + len(block)] = _row_sums(rows.T).reshape(4, -1)
-    h_data, received, signal, interference = sums
-    with np.errstate(over="ignore"):  # a noise that overflows is inf, for _check_budget
+    # d = inf gives gain 0, as in evaluate_link; _check_budget rejects any other value not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, step):
+            block = points[start:start + step]
+            size = k * len(block)
+            h = _luminaire_gains(scenario, block, work[:7 * size])
+            terms = work[size:2 * size].reshape(k, -1).T
+            rows = work[3 * size:7 * size].reshape(k, -1)
+            rows.fill(0.0)
+            h_data, incident, signal, interference = rows.reshape(k, 4, -1).transpose(1, 2, 0)
+            _signal_terms(scenario, h, incident, terms)
+            # Zeros where a lamp is not the position's data tag: adding +0.0 is
+            # exact, and _row_sums counts only the nonzero terms.
+            data = wanted[start:start + step, None] == lamps.codes
+            np.copyto(h_data, h, where=data)
+            np.copyto(signal, terms, where=data)
+            np.copyto(interference, terms, where=~data)
+            sums[:, start:start + len(block)] = _row_sums(rows.T).reshape(4, -1)
+        h_data, received, signal, interference = sums
         noise = total_noise_variance(received, scenario.detector, scenario.noise)
     _check_budget(received, signal, interference, noise)
     snrs, bers = _snr_and_ber(signal, interference, noise)
@@ -365,8 +369,10 @@ def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end:
     # exceeds threshold * (1 + margin): rounding in exp and log cannot pass.
     target = -2.0 * math.log(2.0 * threshold * (1.0 + _BOUND_MARGIN))
     step = max(1, _BLOCK_PAIRS // len(scenario.luminaires))
-    return np.concatenate([_block_may_pass(scenario, code, start[first:first + step], end[first:first + step],
-                                           target) for first in range(0, len(start) or 1, step)])
+    # A bound may overflow or be 0 / 0: one not finite, or a nan SNR bound, keeps its segment.
+    with np.errstate(all="ignore"):
+        return np.concatenate([_block_may_pass(scenario, code, start[first:first + step], end[first:first + step],
+                                               target) for first in range(0, len(start) or 1, step)])
 
 
 def _block_may_pass(scenario: "Scenario", code: int, start: np.ndarray, end: np.ndarray,
@@ -383,37 +389,36 @@ def _block_may_pass(scenario: "Scenario", code: int, start: np.ndarray, end: np.
     # from, which bounds their rounding.
     slack = _BOUND_MARGIN * ((np.abs(start).sum(axis=1) + np.abs(end).sum(axis=1))
                              + np.abs(lamps.tx).sum(axis=1)[:, None])
-    with np.errstate(all="ignore"):
-        # fmax takes a zero-length segment's 0 / 0 to its start.
-        t = np.fmin(np.fmax(-_dot(e0, u) / _dot(u, u), 0.0), 1.0)
-        d_lo = np.maximum(_norm(e0 + t * u) - slack, 0.0)
-        d_hi = np.maximum(_norm(e0), _norm(e1)) + slack
+    # fmax takes a zero-length segment's 0 / 0 to its start.
+    t = np.fmin(np.fmax(-_dot(e0, u) / _dot(u, u), 0.0), 1.0)
+    d_lo = np.maximum(_norm(e0 + t * u) - slack, 0.0)
+    d_hi = np.maximum(_norm(e0), _norm(e1)) + slack
 
-        def cosines(axis):
-            # Upper then lower bounds of axis . e / d. A negative bound only
-            # has to stay negative: the pair is then unlit, or not surely lit.
-            dot0, dot1 = _dot(axis, e0), _dot(axis, e1)
-            hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, _norm(axis) * up)
-            return np.concatenate((hi, (np.minimum(dot0, dot1) - slack) / d_hi), axis=1)
+    def cosines(axis):
+        # Upper then lower bounds of axis . e / d. A negative bound only
+        # has to stay negative: the pair is then unlit, or not surely lit.
+        dot0, dot1 = _dot(axis, e0), _dot(axis, e1)
+        hi = np.minimum((np.maximum(dot0, dot1) + slack) / d_lo, _norm(axis) * up)
+        return np.concatenate((hi, (np.minimum(dot0, dot1) - slack) / d_hi), axis=1)
 
-        # Each segment twice: bounds from above (the closest approach and
-        # the upper cosines, lit if it might be), then from below (the
-        # farthest distance and the lower cosines, lit only if lit throughout).
-        n = len(start)
-        h = _gains(scenario, np.concatenate((d_lo, d_hi), axis=1), cosines(lamps.tx_axis.T[:, :, None]),
-                   cosines(np.array([-rx.x, -rx.y, -rx.z])[:, None, None]), np.power)
-        margin = np.repeat((up, down), n)
-        # [segment, lamp] rows in C order, so each sum over lamps runs along memory.
-        incident, terms = _signal_terms(scenario, np.multiply(h.T, margin[:, None], order="C"))
-        data = lamps.codes == code
-        signal_hi = terms[:n, data].sum(axis=1) * up
-        interference = terms[:, ~data].sum(axis=1) * margin
-        power = incident.sum(axis=1) * margin
-        noise = total_noise_variance(power, scenario.detector, scenario.noise) * margin
-        # A dark data tag bounds the SNR by 0, as in _snr_and_ber, not by 0 / 0 =
-        # nan (no noise, no interference). From a threshold of 0.5 / (1 + margin)
-        # up the target is not positive, so the segment is kept, as from 0.5 up it must be.
-        snr_hi = np.where(signal_hi == 0.0, 0.0, signal_hi / (noise[n:] + interference[n:]))
+    # Each segment twice: bounds from above (the closest approach and
+    # the upper cosines, lit if it might be), then from below (the
+    # farthest distance and the lower cosines, lit only if lit throughout).
+    n = len(start)
+    h = _gains(scenario, np.concatenate((d_lo, d_hi), axis=1), cosines(lamps.tx_axis.T[:, :, None]),
+               cosines(np.array([-rx.x, -rx.y, -rx.z])[:, None, None]), np.power)
+    margin = np.repeat((up, down), n)
+    # [segment, lamp] rows in C order, so each sum over lamps runs along memory.
+    incident, terms = _signal_terms(scenario, np.multiply(h.T, margin[:, None], order="C"))
+    data = lamps.codes == code
+    signal_hi = terms[:n, data].sum(axis=1) * up
+    interference = terms[:, ~data].sum(axis=1) * margin
+    power = incident.sum(axis=1) * margin
+    noise = total_noise_variance(power, scenario.detector, scenario.noise) * margin
+    # A dark data tag bounds the SNR by 0, as in _snr_and_ber, not by 0 / 0 =
+    # nan (no noise, no interference). From a threshold of 0.5 / (1 + margin)
+    # up the target is not positive, so the segment is kept, as from 0.5 up it must be.
+    snr_hi = np.where(signal_hi == 0.0, 0.0, signal_hi / (noise[n:] + interference[n:]))
     finite = np.isfinite((signal_hi, interference[:n], power[:n], noise[:n])).all(axis=0)
     return ~(finite & (snr_hi < target))
 
@@ -429,11 +434,8 @@ def _gains(scenario: "Scenario", d, cos_theta, cos_psi, power, out=None) -> np.n
     m = np.repeat(scenario.luminaire_arrays.order, lit.sum(axis=1))
     dist = d[lit]
     h = np.empty(lit.shape) if out is None else out
-    # A huge area_m2 or gain overflows this product to inf (or nan against
-    # a zero cosine power); evaluate_points rejects the budget that follows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gains = ((m + 1.0) * det.area_m2 * power(cos_theta[lit], m) * cos_psi[lit] * det.gain
-                 / (2.0 * math.pi * dist * dist))
+    gains = ((m + 1.0) * det.area_m2 * power(cos_theta[lit], m) * cos_psi[lit] * det.gain
+             / (2.0 * math.pi * dist * dist))
     h.fill(0.0)
     h[lit] = gains
     return h
@@ -456,11 +458,10 @@ def _signal_terms(scenario: "Scenario", h, incident=None, terms=None) -> tuple[n
     # into the given arrays or new ones. A huge power_w or an infinite gain
     # overflows them, for _check_budget.
     lamps = scenario.luminaire_arrays
-    with np.errstate(over="ignore", invalid="ignore"):
-        incident = np.multiply(h, lamps.power, out=incident)
-        terms = np.multiply(scenario.detector.responsivity_a_per_w, h, out=terms)
-        for factor in (lamps.power, lamps.mod_index, terms, lamps.baseband):  # (R h P mu)^2 E
-            terms *= factor
+    incident = np.multiply(h, lamps.power, out=incident)
+    terms = np.multiply(scenario.detector.responsivity_a_per_w, h, out=terms)
+    for factor in (lamps.power, lamps.mod_index, terms, lamps.baseband):  # (R h P mu)^2 E
+        terms *= factor
     return incident, terms
 
 

@@ -136,23 +136,19 @@ class Scenario:
         """Each distinct tag the luminaires carry by its code, its index in first-appearance order."""
         return {tag: code for code, tag in enumerate(dict.fromkeys(lum.tag for lum in self.luminaires))}
 
-    def check_tags(self, tag_ids) -> None:
-        """Raise TagNotFoundError for the first of ``tag_ids`` that no luminaire carries."""
-        if not self._tag_index.keys() >= set(tag_ids):
-            unknown = next(tag for tag in tag_ids if tag not in self._tag_index)
-            raise TagNotFoundError(f"no luminaire carries tag {unknown!r}")
-
     def tag_codes(self, tag_ids) -> list[int]:
-        """The code of each of ``tag_ids``, its index in tags(), after check_tags."""
-        self.check_tags(tag_ids)
-        return list(map(self._tag_index.__getitem__, tag_ids))
+        """The code of each of ``tag_ids``, its index in tags(); TagNotFoundError names the first unknown."""
+        try:
+            return list(map(self._tag_index.__getitem__, tag_ids))
+        except KeyError as exc:
+            raise TagNotFoundError(f"no luminaire carries tag {exc.args[0]!r}") from None
 
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""
         return tuple(self._tag_index)
 
     def luminaires_for(self, tag_id: str) -> tuple[Luminaire, ...]:
-        self.check_tags((tag_id,))
+        self.tag_codes((tag_id,))
         return tuple(lum for lum in self.luminaires if lum.tag == tag_id)
 
 
@@ -190,7 +186,7 @@ def evaluate_grid(scenario: Scenario, plane_distance_m: float, resolution: int, 
     cells go through ``evaluate_points`` as one batch, so each cell is
     bit-identical to ``evaluate_link`` at its center.
     """
-    scenario.check_tags((data_tag_id,))
+    scenario.tag_codes((data_tag_id,))
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
         raise ParameterError(f"resolution must be an integer >= 2, got {resolution}")
     room = scenario.room

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bench_documents import workload_documents
@@ -899,6 +901,100 @@ class TestFlagFuzzing:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().count("error:") == (code != 0), err.getvalue()
+
+
+# Magnitudes from 1e-300 to 1e300: log-uniform draws and the values at the
+# ends and in between that a layout is likeliest to meet.
+MAGNITUDES = st.one_of(st.sampled_from((1e-300, 1e-200, 1e-100, 1e-5, 1.0, 2.0, 1e5, 1e100, 1e200, 1e300)),
+                       st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+SEMI_ANGLES = st.one_of(st.sampled_from((1e-5, 1e-3, 20.0, 60.0, 89.999, 90.0 - 1e-12)),
+                        st.floats(1e-5, 90.0, exclude_max=True))
+
+
+@st.composite
+def extreme_documents(draw):
+    """A valid scenario of at most 8 lamps, every number from 1e-300 to 1e300.
+
+    A lamp is placed on its own, or on an earlier lamp, or 1e-300, 1e200 or
+    any magnitude away from one in x; the room is drawn, then widened to hold
+    every lamp. Noise values are 0 or a magnitude.
+    """
+    def signed():
+        return draw(st.sampled_from((-1.0, 0.0, 1.0))) * draw(MAGNITUDES)
+
+    lamps = []
+    for i in range(draw(st.integers(1, 8))):
+        if lamps and draw(st.booleans()):
+            x, y, z = draw(st.sampled_from(lamps))[1:4]
+            x += draw(st.sampled_from((0.0, 1e-300, 1e200, -1e200))) or signed()
+        else:
+            x, y, z = signed(), signed(), draw(MAGNITUDES)
+        lamps.append((f"t{draw(st.integers(0, i))}", x, y, z))
+    noise = st.one_of(st.just(0.0), MAGNITUDES)
+    return {
+        "room": {"width_m": max(draw(MAGNITUDES), *(2.0 * abs(lamp[1]) for lamp in lamps)),
+                 "depth_m": max(draw(MAGNITUDES), *(2.0 * abs(lamp[2]) for lamp in lamps)),
+                 "height_m": max(draw(MAGNITUDES), *(lamp[3] for lamp in lamps))},
+        "luminaire": [{"tag": tag, "x_m": x, "y_m": y, "z_m": z, "power_w": draw(MAGNITUDES),
+                       "semi_angle_deg": draw(SEMI_ANGLES), "mod_index": min(1.0, draw(MAGNITUDES)),
+                       "baseband_power": draw(MAGNITUDES)} for tag, x, y, z in lamps],
+        "detector": {"area_m2": draw(MAGNITUDES), "fov_deg": min(90.0, draw(MAGNITUDES)), "gain": draw(MAGNITUDES),
+                     "responsivity_a_per_w": draw(MAGNITUDES), "bandwidth_hz": draw(MAGNITUDES)},
+        "noise": {"background_current_a": draw(noise), "i2": draw(noise), "thermal_a2": draw(noise),
+                  "isi_a2": draw(noise)},
+    }
+
+
+def plain_document(room, lamps):
+    # Unit-power lamps of semi-angle 20 degrees under L1's detector.
+    return {"room": dict(zip(("width_m", "depth_m", "height_m"), room)),
+            "luminaire": [{"tag": tag, "x_m": x, "y_m": 0.0, "z_m": 2.0, "power_w": 1.0, "semi_angle_deg": 20.0}
+                          for tag, x in lamps],
+            "detector": {"area_m2": 1e-4, "fov_deg": 60.0, "gain": 1.3}}
+
+
+class TestExtremeDocuments:
+    """Every command on documents of extreme magnitudes keeps the exit-code contract.
+
+    Exit 0 prints nothing on stderr, any other exit exactly one error line,
+    no command raises a warning of any kind, and a grid's CSV parses back
+    to its grid.
+    """
+
+    @settings(deadline=None)
+    @given(extreme_documents())
+    # Lamps 2e200 m apart, and lamps near the centre of a 1e300 m room: the
+    # squared distances overflow.
+    @example(plain_document((1e201, 1.0, 2.0), [("t0", -1e200), ("t1", 1e200)]))
+    @example(plain_document((1e300, 1e300, 2.0), [("t0", -0.08), ("t1", 0.08)]))
+    def test_every_command_keeps_the_contract(self, document):
+        plane_cm = repr(document["room"]["height_m"] * 50.0)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc, csv = Path(tmp) / "doc.yaml", Path(tmp) / "grid.csv"
+            doc.write_text(yaml.safe_dump(document))
+            codes = {}
+            for argv in (["validate"], ["grid", "--tag", "t0", "--plane-cm", plane_cm, "--res", "3",
+                                        "--out", str(csv), "--heatmap", str(Path(tmp) / "grid.pgm")],
+                         ["sweep", "--tag", "t0", "--planes-cm", f"{plane_cm},{float(plane_cm) / 4!r}", "--res", "2",
+                          "--out", str(Path(tmp) / "sweep")],
+                         ["coverage", "--tag", "t0"], ["resolve", "--plane-cm", plane_cm]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = codes[argv[0]] = main([argv[0], str(doc), *argv[1:]])
+                assert code in (0, 1, 2), argv
+                if code == 0:
+                    assert err.getvalue() == "", argv
+                else:
+                    assert re.fullmatch(r"(usage )?error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+            if codes["grid"] == 0:
+                grid = ledid.evaluate_grid(ledid.load_scenario(doc.read_text()), float(plane_cm) / 100.0, 3, "t0")
+                c = grid.columns
+                cells = zip(((x, y) for y in grid.y_centers_m for x in grid.x_centers_m), c.h_data, c.signal_ms_a2,
+                            c.interference_ms_a2, c.noise_variance_a2, c.snr, c.ber)
+                rows = [row.split(",") for row in csv.read_text().splitlines()[1:]]
+                assert [[float(field).hex() for field in row[:2] + row[3:]] for row in rows] == \
+                    [[value.hex() for value in (*xy, *values)] for xy, *values in cells]
 
 
 class TestRepeatedCalls:

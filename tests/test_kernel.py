@@ -9,6 +9,7 @@ coverage ladder all rest on that. Values are compared through
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,11 +214,13 @@ class TestEvaluatePoints:
         with pytest.raises(ParameterError, match="received power is not finite"):
             evaluate(scenario)
 
-    def test_geometry_overflow_is_not_silenced(self):
-        # Only the gain and power products may overflow quietly; a squared
-        # distance past the largest float still warns.
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            evaluate_points(builtin_l1(), [(1.0e200, 0.0, 1.0)], "inner")
+    def test_geometry_overflow_is_quiet_and_matches_the_scalar_path(self):
+        # A squared distance past the largest float makes d inf and the gain 0,
+        # as in evaluate_link: no warning, and every column bit-equal to it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = assert_matches_scalar(builtin_l1(), [(1.0e200, 0.0, 1.0)], "inner")
+        assert (columns.h_data[0], columns.snr[0], columns.ber[0]) == (0.0, 0.0, 0.5)
 
     def test_largest_finite_budget_is_kept(self):
         # Three signal terms of about 5.9e307 each: their sum is still finite.
@@ -294,6 +297,23 @@ class TestPerPositionTags:
     def test_a_position_on_a_lamp_raises(self):
         with pytest.raises(GeometryError, match="coincide"):
             evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0), (0.16, 0.0, 2.0)], ["inner", "outer-left"])
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_the_first_of_two_unknown_tags_is_named(self, kind):
+        tags = kind(["inner", "first", "inner", "second"])
+        with pytest.raises(TagNotFoundError, match="'first'") as raised:
+            evaluate_points(builtin_l1(), [(0.1 * i, 0.0, 1.0) for i in range(4)], tags)
+        assert "second" not in str(raised.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: evaluate_link(s, Vec3(0.0, 0.0, 1.0), "nope"),
+        lambda s: evaluate_grid(s, 0.3, 4, "nope"),
+        lambda s: s.luminaires_for("nope"),
+        lambda s: link.segments_may_pass(s, "nope", np.zeros((1, 3)), np.ones((1, 3)), 1e-2),
+    ], ids=["evaluate_link", "evaluate_grid", "luminaires_for", "segments_may_pass"])
+    def test_every_entry_names_an_unknown_tag(self, call):
+        with pytest.raises(TagNotFoundError, match="^no luminaire carries tag 'nope'$"):
+            call(builtin_l1())
 
     @pytest.mark.parametrize("tags", [["inner"], ["inner"] * 3, np.array("inner"), np.array([["inner"]] * 2)],
                              ids=["1", "3", "0-d", "n-by-1"])

@@ -8,8 +8,9 @@ build the same objects as ``yaml.SafeLoader`` (with the same duplicate-key
 rule), or both must raise. ``ledid validate`` on the same documents keeps
 the exit-code contract.
 
-The two scanners read four constructs differently (see the README); a
-document holding one of them is checked only where both loaders succeed:
+The two scanners read five constructs differently (see the README). A
+generated document holding one of the first four is checked only where both
+loaders succeed; the fifth has its own test:
 
 * a tab as separating white space (``a:\\tb``): libyaml accepts it,
   PyYAML's scanner rejects it;
@@ -18,7 +19,9 @@ document holding one of them is checked only where both loaders succeed:
 * a byte-order mark at the start of a later line: libyaml skips it (the
   line's content then starts one column in), PyYAML reads it as content;
 * a ``:`` followed directly by ``,``, ``]`` or ``}`` in a flow collection
-  (``{x_m:, 2.0}``): libyaml rejects it, PyYAML reads ``x_m: null``.
+  (``{x_m:, 2.0}``): libyaml rejects it, PyYAML reads ``x_m: null``;
+* an empty scalar with the non-specific tag ``!`` (``a: !``): libyaml
+  reads ``''``, PyYAML ``None``.
 """
 
 import contextlib
@@ -168,6 +171,14 @@ def test_empty_value_before_a_flow_indicator_is_a_parse_error(value, tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("error: document is not valid YAML")
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text, ours, python", [("a: !", "{'a': ''}", "{'a': None}"),
+                                                 ("{! : 1}", "{'': 1}", "{None: 1}"), ("[!]", None, None)])
+def test_an_empty_scalar_tagged_bang_reads_as_libyaml_reads_it(text, ours, python):
+    # libyaml reads it as '' where PyYAML's Python loader reads None; both reject [!].
+    assert load(_DocumentLoader, text) == load(yaml.CSafeLoader, text) == ours
+    assert load(PythonLoader, text) == python
 
 
 # Documents whose objects both loaders build alike, anchors and merges included.
