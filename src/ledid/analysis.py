@@ -12,10 +12,10 @@ Resolvability is one ``evaluate_points`` call over the feet of all the
 luminaires, each foot with its own lamp's tag. Its cone-overlap distance
 comes from the least lamp spacing, found without visiting every pair: the
 least spacing of lamps next to each other in x, then y, order bounds it,
-lamps go into square cells whose side is that bound (widened by 2^-10),
-and only pairs in the same or neighbouring cells are measured, each with
-the ``_norm`` every spacing takes, so the minimum is the all-pairs one bit
-for bit (``_min_spacing``).
+lamps go into square cells whose side is the least power of two not below
+that bound, and only pairs in the same or neighbouring cells are measured,
+one candidate of every lamp a round, each with the ``_norm`` every spacing
+takes, so the minimum is the all-pairs one bit for bit (``_min_spacing``).
 
 Coverage searches walk the boresight ray of the tag's (first) luminaire.
 Any other lamp can make the error rate non-monotone along the ray: an
@@ -50,7 +50,7 @@ import numpy as np
 from .channel import lambertian_order
 from .errors import GeometryError, ParameterError
 from .geometry import Vec3
-from .link import _BLOCK_PAIRS, _norm, evaluate_points, segments_may_pass
+from .link import _norm, evaluate_points, segments_may_pass
 from .scenario import Scenario
 
 _BRACKET_CAP_M = 1.0e6
@@ -173,47 +173,39 @@ def _min_spacing(p: np.ndarray) -> float:
     Bit-identical to the minimum over every pair, as each spacing is
     ``_norm`` of one pair's difference, but only pairs in neighbouring
     cells are visited. Sorted by x, then y, the least spacing of
-    consecutive points is one pair's, so no larger than the minimum's
-    ``bound``. Cells of side s = bound (1 + 2^-10) in x and y put a pair
-    whose cells differ by two or more along an axis more than s (1 - 2^-12)
-    apart there, as each ``x / s`` rounds by at most 2^-53 of itself, at
-    most 2^-13 while |x| and |y| are at most 2^40 s; its spacing, within
-    4 ulps of that distance while the bound is normal enough to square,
-    then exceeds the bound. So the minimum lies in cells next to each
-    other: a point's candidates are the later points of its column of cells
-    up to the next row and the points of the next column in the rows next
-    to its own, with columns and rows numbered in order of the cells that
-    hold points (neighbouring cells stay neighbours). A bound below 1e-100,
-    or a coordinate past 2^40 s, puts every point in one cell, where every
-    pair is a candidate. Candidates go through ``_norm`` in blocks of about
-    ``_BLOCK_PAIRS``.
+    consecutive points is one pair's, and the search starts from it.
+    Cells in x and y have the least power-of-two side not below the bound,
+    so ``floor(x / side)`` numbers them exactly. Two points whose cells
+    differ by two or more along an axis lie more than ``side`` apart there,
+    so their difference there rounds to at least ``side``, and a spacing is
+    at least its rounded component while the bound squares without
+    underflow: such a pair is never below the bound. So a point's
+    candidates are the later points of its column of cells up to the next
+    row and the points of the next column in the rows next to its own,
+    with columns and rows numbered in order of the cells that hold points
+    (neighbouring cells stay neighbours). A bound below 1e-100, or an
+    infinite one, puts every point in one cell, where every pair is a
+    candidate. Round k measures the k-th candidate of every point at once.
     """
     n = p.shape[1]
     p = p[:, np.lexsort((p[1], p[0]))]
     bound = float(_norm(p[:, 1:] - p[:, :-1]).min())
     if bound == 0.0:
         return 0.0
-    side = bound * (1.0 + 2.0 ** -10)
-    if not bound >= 1e-100 or np.abs(p[:2]).max() > side * 2.0 ** 40:
-        side = math.inf
+    mantissa, exponent = math.frexp(bound)
+    side = math.ldexp(1.0, exponent - (mantissa == 0.5)) if 1e-100 <= bound < math.inf else math.inf
     column, row = (np.unique(np.floor(c / side), return_inverse=True)[1] for c in p[:2])
     cell = column * (n + 2) + row + 1  # the next column's rows next to a point's: cell + n + 1 to + n + 3
     order = np.argsort(cell, kind="stable")
     cell, p = cell[order], p[:, order]
     owner = np.tile(np.arange(n), 2)
-    first = np.concatenate((owner[:n] + 1, np.searchsorted(cell, cell + n + 1)))
-    count = np.concatenate((np.searchsorted(cell, cell + 1, "right"),
-                            np.searchsorted(cell, cell + n + 3, "right"))) - first
-    ends = np.cumsum(count)
-    cuts = np.searchsorted(ends, np.arange(_BLOCK_PAIRS, ends[-1] + _BLOCK_PAIRS, _BLOCK_PAIRS), "right")
-    spacing = math.inf
-    for lo, hi in zip((0, *cuts[:-1]), cuts):
-        counts = count[lo:hi]
-        if counts.sum():
-            # Pair k of the block is owner i with candidate first[r] + (k - where range r starts).
-            offsets = np.repeat(first[lo:hi] - (ends[lo:hi] - counts - (ends[lo] - counts[0])), counts)
-            other = offsets + np.arange(len(offsets))
-            spacing = min(spacing, float(_norm(p[:, np.repeat(owner[lo:hi], counts)] - p[:, other]).min()))
+    start = np.concatenate((owner[:n] + 1, np.searchsorted(cell, cell + n + 1)))
+    stop = np.concatenate((np.searchsorted(cell, cell + 1, "right"),
+                           np.searchsorted(cell, cell + n + 3, "right")))
+    spacing = bound
+    for k in range(int((stop - start).max())):
+        near = start + k < stop
+        spacing = min(spacing, float(_norm(p[:, owner[near]] - p[:, start[near] + k]).min()))
     return spacing
 
 

@@ -81,10 +81,10 @@ from .noise import total_noise_variance
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
-# evaluate_points and analysis.scenario_critical_distance work in blocks of
-# about _BLOCK_PAIRS (position, lamp) pairs, so no temporary grows with the
-# batch. evaluate_points raises a block to _BLOCK_POSITIONS positions while
-# it holds at most 4 _BLOCK_PAIRS pairs: a 33 x 33 grid of 256 lamps took
+# evaluate_points and segments_may_pass work in blocks of about _BLOCK_PAIRS
+# (position or segment, lamp) pairs, so no temporary grows with the batch.
+# evaluate_points raises a block to _BLOCK_POSITIONS positions while it
+# holds at most 4 _BLOCK_PAIRS pairs: a 33 x 33 grid of 256 lamps took
 # 21.8, 18.9 and 17.1 ms in blocks of 32, 64 and 128 positions, and a 64 x 64
 # grid of 1,024 lamps 298, 229 and 212 ms in 8, 32 and 128, the last with an
 # 11 MiB peak (minima of 3 to 15 runs, 2-vCPU Xeon, numpy 2.4).
@@ -328,22 +328,15 @@ def _luminaire_gains(scenario: "Scenario", points: np.ndarray, work: np.ndarray)
     # position i.
     lamps = scenario.luminaire_arrays
     arrays = work.reshape(7, len(lamps.tags), len(points))
-    dx, dy, dz, d, cos_theta, cos_psi, tmp = arrays
-    np.subtract(points.T[:, None, :], lamps.tx.T[:, :, None], out=arrays[:3])
-
-    def dot(ux, uy, uz, out):  # (ux dx + uy dy) + uz dz, in Vec3.dot's order
-        np.multiply(ux, dx, out=out)
-        out += np.multiply(uy, dy, out=tmp)
-        out += np.multiply(uz, dz, out=tmp)
-        return out
-
-    np.sqrt(dot(dx, dy, dz, d), out=d)
+    e, (d, cos_theta, cos_psi, tmp) = arrays[:3], arrays[3:]  # e: the lamp-to-position x, y, z
+    np.subtract(points.T[:, None, :], lamps.tx.T[:, :, None], out=e)
+    np.sqrt(_dot(e, e, d, tmp), out=d)
     if not d.all():
         raise GeometryError("emitter and receiver positions coincide")
-    axis, rx_axis = lamps.tx_axis[:, :, None], scenario.receiver_axis
-    np.divide(dot(axis[:, 0], axis[:, 1], axis[:, 2], cos_theta), d, out=cos_theta)
-    np.divide(np.negative(dot(rx_axis.x, rx_axis.y, rx_axis.z, cos_psi), out=cos_psi), d, out=cos_psi)
-    return _gains(scenario, d, cos_theta, cos_psi, _float_pow, dx).T
+    rx = scenario.receiver_axis
+    np.divide(_dot(lamps.tx_axis.T[:, :, None], e, cos_theta, tmp), d, out=cos_theta)
+    np.divide(np.negative(_dot((rx.x, rx.y, rx.z), e, cos_psi, tmp), out=cos_psi), d, out=cos_psi)
+    return _gains(scenario, d, cos_theta, cos_psi, _float_pow, e[0]).T
 
 
 def segments_may_pass(scenario: "Scenario", tag_id: str, start: np.ndarray, end: np.ndarray,
@@ -537,9 +530,13 @@ def _fsum_or_inf(terms: list[float]) -> float:
         return math.inf
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (a[0] b[0] + a[1] b[1]) + a[2] b[2], Vec3.dot's order, of component-first arrays.
-    return (a * b).sum(axis=0)
+def _dot(a, b, out=None, scratch=None) -> np.ndarray:
+    # (a[0] b[0] + a[1] b[1]) + a[2] b[2], Vec3.dot's order, of component-first
+    # arrays, into ``out`` or new memory; ``scratch`` may take the products.
+    out = np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=scratch)
+    out += np.multiply(a[2], b[2], out=scratch)
+    return out
 
 
 def _norm(v: np.ndarray) -> np.ndarray:

@@ -244,13 +244,13 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
     is the binomial standard error sqrt(p (1 - p) / trials) of the estimate p.
     ``trials``, ``seed`` and every SNR are checked before anything is drawn.
     """
-    for snr in snr_values or (0.0,):
+    for snr in snr_values:
         if not snr >= 0.0:
             raise ParameterError(f"SNR must be >= 0, got {snr}")
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {trials}")
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ParameterError(f"trials must be a positive integer, got {trials}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
     points = []
     for snr, errors in zip(snr_values, _error_counts(snr_values, trials, seed)):
         analytic = ber_bfsk(snr)

@@ -141,7 +141,9 @@ class Scenario:
         try:
             return list(map(self._tag_index.__getitem__, tag_ids))
         except KeyError as exc:
-            raise TagNotFoundError(f"no luminaire carries tag {exc.args[0]!r}") from None
+            tag = exc.args[0]
+            name = str(tag) if isinstance(tag, str) else tag  # a numpy string reads as the str it equals
+            raise TagNotFoundError(f"no luminaire carries tag {name!r}") from None
 
     def tags(self) -> tuple[str, ...]:
         """Distinct tag ids in first-appearance order."""

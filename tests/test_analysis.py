@@ -915,6 +915,19 @@ def lattice(m, pitch, z=3.0):
     return np.stack(((ix.ravel() - (m - 1) / 2) * pitch, (iy.ravel() - (m - 1) / 2) * pitch, np.full(m * m, z)))
 
 
+def perimeter(m, pitch, z=3.0):
+    """m lamps at the given pitch along each side of a square centred on the origin, x, y, z rows."""
+    t = (np.arange(m) - m / 2) * pitch
+    half = np.full(m, m * pitch / 2)
+    return np.stack((np.concatenate((t, half, -t, -half)), np.concatenate((-half, t, half, -t)), np.full(4 * m, z)))
+
+
+def cross(m, pitch, z=3.0):
+    """m lamps at the given pitch along each of the x and y axes, off the origin, x, y, z rows."""
+    t, zero = (np.arange(m) - m / 2 + 1 / 3) * pitch, np.zeros(m)
+    return np.stack((np.concatenate((t, zero)), np.concatenate((zero, t)), np.full(2 * m, z)))
+
+
 def lamps_at(p, semi_angle_deg=25.0):
     emitter = EmitterModel(power_w=1.0, semi_angle_deg=semi_angle_deg)
     lamps = tuple(Luminaire(f"t{i}", Pose(Vec3(*c), DOWN), emitter) for i, c in enumerate(np.transpose(p).tolist()))
@@ -979,6 +992,39 @@ class TestSpacingSearch:
         p = lattice(12, pitch)
         assert analysis._min_spacing(p).hex() == brute_spacing(p).hex()
         assert analysis._min_spacing(p[:, ::-1]).hex() == brute_spacing(p).hex()
+
+    def test_random_layouts_scaled_by_powers_of_two(self):
+        rng = np.random.default_rng(32)
+        for k in range(1000):
+            p = random_layout(rng, k % 8) * 2.0 ** int(rng.integers(-300, 301))
+            with np.errstate(over="ignore"):
+                assert analysis._min_spacing(p).hex() == brute_spacing(p).hex(), (k, p)
+
+    @pytest.mark.parametrize("p", [perimeter(64, 0.4), cross(128, 0.4)], ids=["perimeter", "cross"])
+    def test_lines_of_lamps(self, p):
+        assert analysis._min_spacing(p).hex() == brute_spacing(p).hex()
+
+    def test_every_sort_neighbour_spacing_overflowing(self):
+        # Sorted by x, the lamp at y = 1e300 lies between the other two, so
+        # the bound is inf and every lamp shares one cell.
+        p = np.array([[0.0, 5.0, 2.0], [0.0, 0.0, 1e300], [3.0, 3.0, 3.0]])
+        with np.errstate(over="ignore"):
+            assert analysis._min_spacing(p) == 5.0
+
+    def test_a_pair_two_rows_apart_at_the_bound(self):
+        # The tightest pair is 1 + 1e-20 apart in y, which rounds to the bound
+        # 1.0, a cell side; the lamp at y = 0.5 puts them two rows apart.
+        p = np.array([[0.0, 0.0, 50.0], [-1e-20, 1.0, 0.5], [3.0, 3.0, 3.0]])
+        assert analysis._min_spacing(p).hex() == brute_spacing(p).hex() == (1.0).hex()
+
+    def test_bench_ceiling_in_four_norm_calls(self, monkeypatch):
+        # Pitch 0.5 is a power of two, so it is the cell side: the bound and three rounds.
+        calls = []
+        norm = analysis._norm
+        monkeypatch.setattr(analysis, "_norm", lambda v: calls.append(v.shape[1]) or norm(v))
+        p = generated_ceiling(16, 1).luminaire_arrays.tx.T
+        assert analysis._min_spacing(p).hex() == brute_spacing(p).hex()
+        assert len(calls) <= 4
 
 
 class TestTagCodes:

@@ -305,6 +305,12 @@ class TestPerPositionTags:
             evaluate_points(builtin_l1(), [(0.1 * i, 0.0, 1.0) for i in range(4)], tags)
         assert "second" not in str(raised.value)
 
+    @pytest.mark.parametrize("kind", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_an_unknown_tag_is_named_as_the_str_it_equals(self, kind):
+        # Under numpy 2 an array's element is an np.str_, whose repr is np.str_('first').
+        with pytest.raises(TagNotFoundError, match="^no luminaire carries tag 'first'$"):
+            evaluate_points(builtin_l1(), [(0.0, 0.0, 1.0)], kind(["first"]))
+
     @pytest.mark.parametrize("call", [
         lambda s: evaluate_link(s, Vec3(0.0, 0.0, 1.0), "nope"),
         lambda s: evaluate_grid(s, 0.3, 4, "nope"),

@@ -101,6 +101,10 @@ class TestMcBerBfsk:
         with pytest.raises(ParameterError, match=message):
             agreement_report((0.0, 1.0), trials=100, seed=True)
 
+    def test_every_snr_is_checked_before_trials_and_seed(self):
+        with pytest.raises(ParameterError, match="^SNR must be >= 0, got -1.0$"):
+            agreement_report((1.0, -1.0), 0, -1)
+
     def test_no_snr_still_checks_trials_and_seed(self):
         with pytest.raises(ParameterError, match="^trials must be a positive integer, got 0$"):
             agreement_report((), 0, 5)
