@@ -23,9 +23,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from . import export
 from .analysis import coverage, foot_bers, resolvability
-from .errors import LedIdError
-from .export import write_grid_csv, write_grid_pgm
+from .errors import LedIdError, ParameterError
+from .export import write_grid_csv
 from .oracle import agreement_report
 from .scenario import Scenario, evaluate_grid, load_scenario_with_defaults, read_scenario_text
 
@@ -210,11 +211,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     _check_outputs(args.scenario, outputs)
     plane_m = _grid_plane(scenario, "--plane-cm", args.plane_cm, args.res)
     grid = evaluate_grid(scenario, plane_m, args.res, args.tag)
-    # Lines are printed after every write, so none names a file a later failure left unwritten.
+    # The heatmap is rendered (through export, which bench/tracing.py wraps) before any
+    # file is written, so a render failure leaves none; lines are printed after every write.
+    pgm = None if args.heatmap is None else export.grid_pgm_text(grid)
     write_grid_csv(grid, args.out)
     lines = [f"csv={args.out} cells={args.res}x{args.res}"]
-    if args.heatmap is not None:
-        write_grid_pgm(grid, args.heatmap)
+    if pgm is not None:
+        Path(args.heatmap).write_bytes(pgm.encode("ascii"))
         lines.append(f"pgm={args.heatmap}")
     print("\n".join(lines))
     return 0
@@ -278,14 +281,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
 def _cmd_mc_verify(args: argparse.Namespace) -> int:
     snr_values = tuple(_float_list("--snr-list", args.snr_list, "SNR"))
-    if any(not s >= 0.0 for s in snr_values):
-        raise _UsageError("--snr-list values must be >= 0 (NaN is not)")
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
-    if not 0 <= args.seed < 2 ** 64:
-        raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-
-    points = agreement_report(snr_values, args.trials, args.seed)
+    try:  # agreement_report checks the SNRs, trials and seed before drawing anything
+        points = agreement_report(snr_values, args.trials, args.seed)
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from exc
     for pt in points:
         print(f"snr={pt.snr:g} analytic={pt.analytic!r} estimate={pt.estimate!r} "
               f"std_error={pt.std_error!r} {'pass' if pt.within_3_sigma else 'FAIL'}")

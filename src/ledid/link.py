@@ -219,8 +219,6 @@ def ber_bfsk(snr_value: float) -> float:
     """Bit error rate of non-coherently detected binary FSK at a given SNR."""
     if not snr_value >= 0.0:
         raise ParameterError(f"SNR must be >= 0, got {snr_value}")
-    if math.isinf(snr_value):
-        return 0.0
     return 0.5 * math.exp(-0.5 * snr_value)
 
 
@@ -486,8 +484,6 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         sums = terms.sum(axis=1)
         many = (terms != 0.0).sum(axis=1) > 2
-        if not many.any():
-            return sums
         t = terms.T.compress(many, axis=1).T  # keeps a lamps-major block lamps-major
         if t.size <= _FSUM_TERMS:
             sums[many] = list(map(_fsum_or_inf, t.tolist()))

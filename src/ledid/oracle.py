@@ -28,16 +28,16 @@ every SNR against those same draws before it draws the next block. Each
 point is bit-identical to the one-SNR report of its SNR.
 
 The blocks are cut into P contiguous runs, P the least of 4, the CPUs the
-process may run on and the number of blocks, and the runs are scored at
-once: the caller's thread takes the first, a thread each the others.
-numpy releases the GIL in the draws and the transform, which are most of
-the work. Each run has its own generator and block arrays. Philox is
-counter-based and each step of its counter gives one trial's four draws,
-so a generator advanced by k starts at trial k: a run draws the bits the
-serial loop draws for its trials, and scores them in the same blocks. A
-count is a sum of integers over blocks, so no count, estimate or output
-byte depends on P. If a run raises, or the caller is interrupted, every
-run stops before its next block, and the call raises once all are joined.
+process may run on and the number of blocks. One function scores them at
+once, the first on the caller's thread and each other on its own. numpy
+releases the GIL in the draws and the transform, most of the work. Each
+run has its own generator and block arrays. Philox is counter-based and
+each step of its counter gives one trial's four draws, so a generator
+advanced by k starts at trial k: a run draws the bits the serial loop
+draws for its trials, and scores them in the same blocks. A count is a
+sum of integers over blocks, so no count, estimate or output byte depends
+on P. If any run raises, or the caller is interrupted, every run stops
+before its next block, and the call raises once all are joined.
 
 Every trial computes L1 = -2 ln(1 - u0), L2 = -2 ln(1 - u2) and
 g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``.
@@ -54,7 +54,6 @@ equals the comparison's on every trial, for about half the work.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import threading
@@ -117,19 +116,17 @@ def _error_counts(snrs: Sequence[float], trials: int, seed: int) -> list[int]:
             failures.append(exc)
             stop.set()
 
-    threads = []
+    # A run meets no floating-point error, so no thread needs numpy's error state.
+    threads = [threading.Thread(target=score, args=(r,)) for r in range(1, runs)]
     try:
-        for r in range(1, runs):
-            # In a copy of the caller's context, so numpy's errstate holds there too.
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(score, r))
+        for thread in threads:
             thread.start()
-            threads.append(thread)
-        results[0] = _score_run(seed, 0, bounds[1], block, amplitudes, stop)
+        score(0)
         for thread in threads:
             thread.join()
-    except BaseException:
+    except BaseException:  # an interrupt while starting or joining
         stop.set()
-        for thread in threads:
+        for thread in filter(threading.Thread.is_alive, threads):
             thread.join()
         raise
     if failures:

@@ -287,6 +287,17 @@ class TestGrid:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.err.count("error:") == 1
 
+    def test_a_heatmap_that_fails_to_render_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # The graymap is rendered before the CSV is written.
+        def refuse(grid):
+            raise MemoryError
+
+        monkeypatch.setattr("ledid.export.grid_pgm_text", refuse)
+        assert main(["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "4",
+                     "--out", str(tmp_path / "x.csv"), "--heatmap", str(tmp_path / "x.pgm")]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("out, heatmap", [("x.out", "./x.out"), ("x.out", "sub/../x.out"),
                                               ("loop", "loop")], ids=["same", "dotdot", "symlink-loop"])
     def test_out_and_heatmap_naming_one_file_are_a_usage_error(self, tmp_path, capsys, monkeypatch, out, heatmap):
@@ -739,7 +750,7 @@ class TestMcVerify:
         assert main(["mc-verify", "--trials", "10", "--seed", seed]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: --seed must be a 64-bit unsigned integer, got {seed}\n"
+        assert captured.err == f"usage error: seed must be a 64-bit unsigned integer, got {seed}\n"
 
     def test_empty_snr_list_is_a_usage_error(self):
         assert main(["mc-verify", "--snr-list", " "]) == 2
@@ -752,7 +763,7 @@ class TestMcVerify:
         assert main(["mc-verify", "--snr-list", snr_list, "--trials", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage error: --snr-list")
+        assert captured.err == "usage error: SNR must be >= 0, got nan\n"
 
     def test_disagreement_is_reported_as_an_error(self, capsys):
         # One trial per point: an estimate of 0 or 1 with no spread, so both miss.

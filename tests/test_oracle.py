@@ -347,6 +347,17 @@ class TestSplitRuns:
             advanced = np.random.Generator(np.random.Philox(seed).advance(k)).random((m, 4))
             assert advanced.tobytes() == rows[k:].tobytes(), k
 
+    def test_scoring_raises_no_floating_point_error(self, monkeypatch):
+        # Why a run's thread needs none of the caller's numpy error state: the
+        # scoring meets no overflow, underflow, invalid or divide at any SNR.
+        snrs = (0.0, 1e-300, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 100.0, 161.9, 162.0, 1e300, math.inf)
+        for seed in (0, 42, 2 ** 64 - 1):
+            monkeypatch.setattr(oracle, "_max_runs", lambda: 4)
+            split = agreement_report(snrs, 300_000, seed)
+            monkeypatch.setattr(oracle, "_max_runs", lambda: 1)
+            with np.errstate(all="raise"):
+                assert agreement_report(snrs, 300_000, seed) == split, seed
+
     def test_a_report_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(oracle, "_max_runs", lambda: 4)
         before = threading.active_count()
@@ -401,6 +412,25 @@ class TestFailingRun:
         assert sorted(firsts.values()) == [0, 97 * 3, 97 * 7]
         assert len(set(stops)) == 1
         assert events == ["start"] * runs + ["raise"]
+
+    def test_a_thread_that_cannot_start_raises_its_own_error(self, monkeypatch):
+        # The second of three threads fails to start: the first is stopped and
+        # joined, the unstarted ones are not joined, and the start error is raised.
+        monkeypatch.setattr(oracle, "_max_runs", lambda: 4)
+        starts, start = [], threading.Thread.start
+
+        def failing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            agreement_report((0.0, 4.0), 100_000, 3)
+        assert threading.active_count() == before
+        assert len(starts) == 2
 
     def test_mc_verify_prints_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "_max_runs", lambda: 2)
