@@ -51,6 +51,7 @@ from .channel import lambertian_order
 from .errors import GeometryError, ParameterError
 from .geometry import Vec3
 from .link import _norm, evaluate_points, segments_may_pass
+from .noise import total_noise_variance
 from .scenario import Scenario
 
 _BRACKET_CAP_M = 1.0e6
@@ -216,17 +217,13 @@ def coverage(scenario: Scenario, tag_id: str, threshold: float = 1e-2) -> Covera
 
     The unbounded sentinel (inf, with the full 90 degree angle) is
     returned when no crossing is found below the search cap, and by
-    convention with no interferers and all noise parameters zero, where
-    only the signal's own shot noise limits the distance (to 52,017 m for
-    an L1 lamp at 1e-2).
+    convention for a lone tag whose receiver has no noise without light
+    (``total_noise_variance(0, ...) == 0``), where only the signal's own
+    shot noise limits the distance (to 52,017 m for an L1 lamp at 1e-2).
     """
     _check_threshold(threshold)
     lamps = scenario.luminaires_for(tag_id)
-    has_interferers = len(lamps) != len(scenario.luminaires)
-    noise = scenario.noise
-    noiseless = (noise.background_current_a == 0.0 and noise.thermal_a2 == 0.0
-                 and noise.isi_a2 == 0.0)
-    if not has_interferers and noiseless:
+    if len(lamps) == len(scenario.luminaires) and total_noise_variance(0.0, scenario.detector, scenario.noise) == 0.0:
         return CoverageReport(tag_id, UNBOUNDED, 90.0, threshold)
 
     origin = lamps[0].pose.position

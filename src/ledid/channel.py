@@ -91,7 +91,7 @@ def radiant_intensity(theta_rad: float, emitter: EmitterModel) -> float:
     if c <= 0.0:
         return 0.0
     m = emitter.lambertian_order
-    return emitter.power_w * (m + 1.0) / (2.0 * math.pi) * c ** m
+    return emitter.power_w * (m + 1.0) / (2.0 * math.pi) * cos_power(c, m)
 
 
 def channel_gain(tx: Pose, emitter: EmitterModel, rx: Pose, detector: DetectorModel) -> float:

@@ -2,7 +2,8 @@
 
 Commands: validate, grid, sweep, coverage, resolve, mc-verify. Every
 output byte is a pure function of the input files and flags; nothing
-depends on the clock, locale or environment.
+depends on the clock, locale or environment but the encoding of a
+non-ASCII path or name on standard output (exit 1 where it has none).
 
 Exit codes: 0 success, 1 domain error (parse/validation failures, unknown
 tags, unwritable outputs, requests too large for memory), 2 usage error
@@ -61,7 +62,7 @@ def _main(argv: Sequence[str] | None) -> int:
         return 2
     except BrokenPipeError:
         raise
-    except (LedIdError, OSError, MemoryError) as exc:
+    except (LedIdError, OSError, MemoryError, UnicodeEncodeError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

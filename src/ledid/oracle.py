@@ -239,20 +239,17 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
     (see the module docstring), so it equals its one-SNR report
     ``agreement_report((snr,), trials, seed)[0]`` bit for bit. ``std_error``
     is the binomial standard error sqrt(p (1 - p) / trials) of the estimate p.
-    ``trials``, ``seed`` and every SNR are checked before anything is drawn.
+    Every SNR (by ``ber_bfsk``), ``trials`` and ``seed`` are checked before anything is drawn.
     """
-    for snr in snr_values:
-        if not snr >= 0.0:
-            raise ParameterError(f"SNR must be >= 0, got {snr}")
+    analytic = [ber_bfsk(snr) for snr in snr_values]
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
     points = []
-    for snr, errors in zip(snr_values, _error_counts(snr_values, trials, seed)):
-        analytic = ber_bfsk(snr)
+    for snr, rate, errors in zip(snr_values, analytic, _error_counts(snr_values, trials, seed)):
         estimate = errors / trials
         std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-        ok = abs(estimate - analytic) <= 3.0 * std_error
-        points.append(AgreementPoint(snr, analytic, estimate, std_error, ok))
+        ok = abs(estimate - rate) <= 3.0 * std_error
+        points.append(AgreementPoint(snr, rate, estimate, std_error, ok))
     return tuple(points)

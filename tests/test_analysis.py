@@ -27,6 +27,7 @@ from ledid import (
     builtin_l1,
     coverage,
     critical_overlap_distance,
+    evaluate_grid,
     evaluate_link,
     evaluate_points,
     load_scenario,
@@ -193,9 +194,25 @@ class TestCoverage:
             coverage(builtin_l1(), "nope")
 
     def test_unbounded_sentinel_without_noise_or_interference(self):
-        report = coverage(single_lamp_scenario(), "solo")
-        assert math.isinf(report.max_reliable_distance_m)
-        assert report.max_reliable_angle_deg == 90.0
+        # A background current with a zero ambient term, 2 q I_bg I2 B (I2 = 0,
+        # or a product that underflows), leaves the receiver as noiseless as
+        # the default.
+        for noise in (NoiseParams(), NoiseParams(background_current_a=1e-3, i2=0.0),
+                      NoiseParams(background_current_a=1e-300, i2=1e-300)):
+            report = coverage(single_lamp_scenario(noise), "solo")
+            assert math.isinf(report.max_reliable_distance_m)
+            assert report.max_reliable_angle_deg == 90.0
+
+    def test_tiny_but_nonzero_ambient_term_keeps_a_finite_distance(self):
+        # 2 q 1e-300 0.56 B is a subnormal 1.8e-315 A^2, not zero: the
+        # signal's own shot noise then bounds the distance.
+        report = coverage(single_lamp_scenario(NoiseParams(background_current_a=1e-300)), "solo")
+        assert report.max_reliable_distance_m == 52017.320251464844
+        assert report.max_reliable_angle_deg == 26.806640625
+
+    def test_zero_ambient_term_gives_the_default_link_budget(self):
+        quiet = evaluate_grid(single_lamp_scenario(NoiseParams(background_current_a=1e-3, i2=0.0)), 0.5, 16, "solo")
+        assert quiet.columns == evaluate_grid(single_lamp_scenario(), 0.5, 16, "solo").columns
 
     def test_distance_strictly_decreasing_in_background_current(self):
         distances = [

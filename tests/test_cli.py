@@ -636,6 +636,14 @@ noise: {thermal_a2: 1.0e-40}
         assert main(["coverage", str(doc), "--tag", "solo"]) == 0
         assert "max_reliable_distance_m=unbounded" in capsys.readouterr().out
 
+    def test_background_current_without_an_ambient_term_is_unbounded(self, tmp_path, capsys):
+        # With i2 = 0 the background current adds no noise, so the lone lamp
+        # reads as the noiseless default does.
+        doc = tmp_path / "solo.yaml"
+        doc.write_text(SINGLE_LAMP_DOC + "noise: {background_current_a: 1.0e-3, i2: 0.0}\n")
+        assert main(["coverage", str(doc), "--tag", "solo"]) == 0
+        assert "max_reliable_distance_m=unbounded" in capsys.readouterr().out
+
     def test_probe_on_a_lamp_is_scored_not_an_error(self, tmp_path, capsys):
         # Ladder step 100 from the top lamp lands on the low lamp.
         doc = tmp_path / "stacked.yaml"
@@ -859,6 +867,70 @@ class TestNoiseOverflow:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: link budget overflows: noise is not finite")
         assert not (tmp_path / "grid.csv").exists()
+
+
+def _ledid_env(**settings):
+    src = str(Path(ledid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+                **settings)
+
+
+class TestUnencodableOutput:
+    # A standard output that cannot encode a path or name printed ends the
+    # run like any other unwritable output: exit 1 and one error line.
+    @pytest.mark.parametrize("args", [
+        ["grid", L1_PATH, "--tag", "inner", "--plane-cm", "30", "--res", "4", "--out", "\u00e9.csv"],
+        ["sweep", L1_PATH, "--tag", "inner", "--planes-cm", "30", "--res", "4", "--out", "d\u00e9"],
+        ["validate", "doc.yaml"],
+    ], ids=["grid", "sweep", "validate"])
+    def test_one_error_line_and_no_traceback(self, tmp_path, args):
+        (tmp_path / "doc.yaml").write_text(Path(L1_PATH).read_text(encoding="utf-8").replace(
+            "name: L1", "name: B\u00fcro"), encoding="utf-8")
+        result = subprocess.run([sys.executable, "-m", "ledid", *args], capture_output=True, encoding="ascii",
+                                errors="backslashreplace", cwd=tmp_path, timeout=300,
+                                env=_ledid_env(PYTHONIOENCODING="ascii"))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: 'ascii' codec can't encode character ")
+        assert len(result.stderr.splitlines()) == 1
+
+
+class TestEnvironment:
+    """No output depends on the hash seed, time zone, locale or stdout encoding."""
+
+    COMMANDS = [
+        *(["validate", path] for path in (L1_PATH, G1_PATH)),
+        *(["grid", path, "--tag", tag, "--plane-cm", "30", "--res", "16", "--out", f"{tag}.csv",
+           "--heatmap", f"{tag}.pgm"] for path, tag in ((L1_PATH, "inner"), (G1_PATH, "center"))),
+        *(["sweep", path, "--tag", tag, "--planes-cm", "30,40", "--res", "8", "--out", f"sweep-{tag}"]
+          for path, tag in ((L1_PATH, "inner"), (G1_PATH, "center"))),
+        *(["coverage", path, "--tag", tag] for path, tag in ((L1_PATH, "outer-left"), (G1_PATH, "ne"))),
+        *(["resolve", path, "--plane-cm", "30"] for path in (L1_PATH, G1_PATH)),
+        ["mc-verify", "--trials", "20000"],
+    ]
+    SETTINGS = [
+        {"PYTHONHASHSEED": "0", "TZ": "UTC", "LC_ALL": "C.UTF-8", "PYTHONIOENCODING": "utf-8"},
+        {"PYTHONHASHSEED": "1", "TZ": "Asia/Kolkata", "LC_ALL": "C", "PYTHONIOENCODING": "latin-1"},
+    ]
+
+    def test_every_output_is_byte_equal_across_settings(self, tmp_path):
+        script = ("import sys\nfrom ledid.cli import main\n"
+                  f"for argv in {self.COMMANDS!r}:\n"
+                  "    code = main(argv)\n"
+                  "    print(f'exit={code}', flush=True)\n"
+                  "    print(f'exit={code}', file=sys.stderr, flush=True)\n")
+        runs = []
+        for i, settings in enumerate(self.SETTINGS):
+            cwd = tmp_path / str(i)
+            cwd.mkdir()
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=cwd,
+                                    timeout=300, env=_ledid_env(**settings))
+            files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+            runs.append((result.returncode, result.stdout, result.stderr, files))
+        assert runs[0][0] == 0
+        assert runs[0][1].count(b"exit=0\n") == len(self.COMMANDS)
+        assert len(runs[0][3]) == 8
+        assert runs[0] == runs[1]
 
 
 def test_no_command_is_a_usage_error(capsys):
