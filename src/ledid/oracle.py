@@ -40,25 +40,30 @@ on P. If any run raises, or the caller is interrupted, every run stops
 before its next block, and the call raises once all are joined.
 
 Every trial computes L1 = -2 ln(1 - u0), L2 = -2 ln(1 - u2) and
-g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``.
-As g1^2 + g2^2 = L1 and g3^2 + g4^2 = L2, the wrong branch beats the
-correct one by q - v, with q = L2 - L1 and v = a (a + 2 g1), up to
-rounding and the error of ``sin`` and ``cos``, far less than the window
-``_TIE_SLACK`` (its comment gives the bound). A trial whose q - v lies
-outside that window is decided by its sign, which is the comparison's
-own. Only the trials within it compute g2, g3 and g4 and take the
-comparison above: 1 to 3 of a default report's 7 x 10^6. No trial errs
-from ``_ERRORLESS_SNR`` on, which counts 0 unscored. So every count
-equals the comparison's on every trial, for about half the work.
+g1 = sqrt(L1) cos(2 pi u1): two ``log1p``, one ``sqrt`` and one ``cos``,
+numpy's float32 ``cos`` of the phase rounded to float32. As g1^2 + g2^2 = L1
+and g3^2 + g4^2 = L2, the wrong branch beats the correct one by q - v, with
+q = L2 - L1 and v = a (a + 2 g1), up to rounding, the error of float64
+``sin`` and ``cos``, far less than ``_TIE_SLACK``, and 2 a times the error
+of the float32 g1, less than a ``_COS32_SLACK`` (their comments give the
+bounds). A trial whose q - v lies outside the window
+``_TIE_SLACK + a_max * _COS32_SLACK``, a_max the block's largest scored
+amplitude, is decided by its sign, which is the comparison's own. Only the
+trials within it compute g1 in float64, g2, g3 and g4 and take the
+comparison above: 36 to 58 of a default report's 7 x 10^6 (seeds 0-11
+and 42). No trial errs from ``_ERRORLESS_SNR`` on, which counts 0
+unscored. So every count equals the comparison's on every trial, at one
+float32 ``cos`` a trial.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,17 +78,29 @@ from .link import ber_bfsk
 _BATCH_TRIALS = 1 << 14
 
 # Half-width of the window of q - v that _score_block sends to the exact path
-# (see the module docstring), for amplitudes a <= 18. The generator draws
-# each u below 1, so u <= 1 - 2^-53, L = -2 log1p(-u) <= 106 ln 2 < 73.5 and
-# |g1| < 8.6, whence S = L2 + 2 L1 + (a + |g1|)^2 < 927. Both paths use the
-# same bits of L1, L2 and g1. numpy's sin and cos are good to a few ulps and
-# take one phase, so the exact path's g1^2 + g2^2 and wrong branch are
-# within about 20 eps of L1 and L2 (eps = 2^-53); each other rounding of
-# either path is at most eps times a magnitude below S. So the two values of
-# wrong - correct differ by under 30 eps S < 4e-12, and a trial whose q - v
-# lies outside the window gets the exact path's decision. The window is
-# 1e-9 x 1024, above 1e-9 S on every trial: room for trig errors of 10^5 ulps.
+# (see the module docstring), for amplitudes a <= 18, were the fast path's g1
+# the exact path's float64 one; _COS32_SLACK widens it for the float32 g1.
+# The generator draws each u below 1, so u <= 1 - 2^-53, L = -2 log1p(-u)
+# <= 106 ln 2 < 73.5 and |g1| < 8.6, whence S = L2 + 2 L1 + (a + |g1|)^2 < 927.
+# Both paths use the same bits of L1 and L2. numpy's sin and cos are good to
+# a few ulps and take one phase, so the exact path's g1^2 + g2^2 and wrong
+# branch are within about 20 eps of L1 and L2 (eps = 2^-53); each other
+# rounding of either path is at most eps times a magnitude below S. So the
+# two values of wrong - correct differ by under 30 eps S < 4e-12, and a trial
+# whose q - v lies outside the window gets the exact path's decision. The
+# window is 1e-9 x 1024, above 1e-9 S on every trial: room for trig errors
+# of 10^5 ulps.
 _TIE_SLACK = 1.024e-6
+
+# What the window widens by per unit of the block's largest amplitude a_max,
+# for the fast path's g1 = sqrt(L1) cos32(fl32(2 pi u1)) (_gaussian32). The
+# phase 2 pi u1 lies in [0, 2 pi), where rounding it to float32 moves it, and
+# so its cos, by at most 2^-22. numpy's accuracy data allows its float32 cos 2
+# ulps (umath-validation-set-cos.csv, ulperrortol 2); the bound allows 4, and
+# 4 ulps of a value below 1 in magnitude are at most 2^-22. So |g1 - the
+# float64 g1| <= sqrt(L1) 2^-21 < 8.6 2^-21, and v = a (a + 2 g1) moves by
+# under a _COS32_SLACK <= a_max _COS32_SLACK.
+_COS32_SLACK = 2 * 8.6 * 2.0 ** -21
 
 # SNR from which no trial errs, so it counts 0 unscored: with the bounds
 # above, the wrong branch is below 73.5, while from a = sqrt(2 snr) = 18 the
@@ -176,11 +193,12 @@ def _score_block(u: np.ndarray, amplitudes: Sequence[float], work: np.ndarray) -
     l1, l2, g1, v = work
     _radius_squared(u[:, 0], out=l1, scratch=v)
     _radius_squared(u[:, 2], out=l2, scratch=v)
-    _gaussian(l1, u[:, 1], np.cos, out=g1, scratch=v)
-    # The bounds q -/+ _TIE_SLACK, with q = L2 - L1, take the rows of L1 and L2.
+    _gaussian32(l1, u[:, 1], out=g1, scratch=v)
+    # The bounds q -/+ slack, with q = L2 - L1, take the rows of L1 and L2.
+    slack = _TIE_SLACK + max(amplitudes) * _COS32_SLACK
     clear_above = np.subtract(l2, l1, out=l2)
-    error_below = np.subtract(clear_above, _TIE_SLACK, out=l1)
-    clear_above += _TIE_SLACK
+    error_below = np.subtract(clear_above, slack, out=l1)
+    clear_above += slack
     twice_g1 = np.multiply(g1, 2.0, out=g1)
     counts = []
     for a in amplitudes:
@@ -200,6 +218,19 @@ def _noise_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     l1, l2 = _radius_squared(u[:, 0]), _radius_squared(u[:, 2])
     g3, g4 = _gaussian(l2, u[:, 3], np.cos), _gaussian(l2, u[:, 3], np.sin)
     return _gaussian(l1, u[:, 1], np.cos), _gaussian(l1, u[:, 1], np.sin) ** 2, g3 ** 2 + g4 ** 2
+
+
+def _gaussian32(radius_squared: np.ndarray, u_phase: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # The fast path's g1, sqrt(L) cos32(fl32(2 pi u)): numpy's float32 cos of
+    # the phase rounded to float32, in the two halves of a float32 view of the
+    # float64 row ``scratch``, then times sqrt(L) in float64. It is within
+    # sqrt(L) 2^-21 of _gaussian(radius_squared, u_phase, np.cos) (see _COS32_SLACK).
+    phase, cos = scratch.view(np.float32).reshape(2, -1)
+    np.copyto(phase, np.multiply(u_phase, 2.0 * np.pi, out=out), casting="same_kind")
+    np.cos(phase, out=cos)
+    gaussian = np.sqrt(radius_squared, out=out)
+    gaussian *= cos
+    return gaussian
 
 
 def _radius_squared(u_radius: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -232,20 +263,21 @@ class AgreementPoint:
     within_3_sigma: bool
 
 
-def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> tuple[AgreementPoint, ...]:
+def agreement_report(snr_values: Iterable[float], trials: int, seed: int) -> tuple[AgreementPoint, ...]:
     """Compare the estimator against exp(-snr/2)/2 at each SNR.
 
     Every point uses the same seed and is scored against the same draws
     (see the module docstring), so it equals its one-SNR report
     ``agreement_report((snr,), trials, seed)[0]`` bit for bit. ``std_error``
     is the binomial standard error sqrt(p (1 - p) / trials) of the estimate p.
-    Every SNR (by ``ber_bfsk``), ``trials`` and ``seed`` are checked before anything is drawn.
+    ``snr_values`` may be any iterable of SNRs; ``trials`` and ``seed`` any
+    integers, numpy's too, but not bools. Every SNR (by ``ber_bfsk``),
+    ``trials`` and ``seed`` are checked before anything is drawn.
     """
+    snr_values = tuple(snr_values)
     analytic = [ber_bfsk(snr) for snr in snr_values]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    trials = _integer(trials, 1, math.inf, "trials must be a positive integer")
+    seed = _integer(seed, 0, 2 ** 64, "seed must be a 64-bit unsigned integer")
     points = []
     for snr, rate, errors in zip(snr_values, analytic, _error_counts(snr_values, trials, seed)):
         estimate = errors / trials
@@ -253,3 +285,17 @@ def agreement_report(snr_values: tuple[float, ...], trials: int, seed: int) -> t
         ok = abs(estimate - rate) <= 3.0 * std_error
         points.append(AgreementPoint(snr, rate, estimate, std_error, ok))
     return tuple(points)
+
+
+def _integer(value, low: int, high: float, rule: str) -> int:
+    # ``value`` as a Python int, if it is an integer in low .. high - 1: any
+    # type operator.index takes, numpy's integers too, but no bool.
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= number < high:
+                return number
+    raise ParameterError(f"{rule}, got {value}")

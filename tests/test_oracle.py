@@ -89,9 +89,33 @@ class TestMcBerBfsk:
                 (-0.5, 10, 1, "SNR must be >= 0, got -0.5"),
                 (math.nan, 10, 1, "SNR must be >= 0, got nan"),
                 (1.0, 10, -1, "seed must be a 64-bit unsigned integer, got -1"),
-                (1.0, 10, 2 ** 64, f"seed must be a 64-bit unsigned integer, got {2 ** 64}")):
+                (1.0, 10, 2 ** 64, f"seed must be a 64-bit unsigned integer, got {2 ** 64}"),
+                (1.0, np.int64(0), 1, "trials must be a positive integer, got 0"),
+                (1.0, np.bool_(True), 1, "trials must be a positive integer, got True"),
+                (1.0, 1000.0, 1, "trials must be a positive integer, got 1000.0"),
+                (1.0, np.float64(1000.0), 1, "trials must be a positive integer, got 1000.0"),
+                (1.0, 10, np.int64(-1), "seed must be a 64-bit unsigned integer, got -1"),
+                (1.0, 10, np.bool_(False), "seed must be a 64-bit unsigned integer, got False"),
+                (1.0, 10, 5.0, "seed must be a 64-bit unsigned integer, got 5.0")):
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
                 agreement_report((snr,), trials, seed)
+
+    def test_numpy_integers_are_integers(self, monkeypatch):
+        # Any integer operator.index takes is one; Philox is seeded with a Python int.
+        seeds = []
+        philox = np.random.Philox
+
+        def recording(seed):
+            seeds.append(seed)
+            return philox(seed)
+
+        monkeypatch.setattr(np.random, "Philox", recording)
+        expected = agreement_report((1.0,), 1000, 5)
+        for trials, seed in ((np.int64(1000), 5), (1000, np.uint64(5)), (np.int32(1000), np.int8(5))):
+            seeds.clear()
+            assert agreement_report((1.0,), trials, seed) == expected
+            assert seeds and all(type(seed) is int for seed in seeds)
+        assert agreement_report((1.0,), 10, np.uint64(2 ** 64 - 1)) == agreement_report((1.0,), 10, 2 ** 64 - 1)
 
     def test_bool_seed_raises(self):
         # bool is an int subclass; True must not run as seed 1.
@@ -145,6 +169,12 @@ class TestSharedDraws:
             assert point.estimate == alone.estimate
             assert point.std_error == alone.std_error
 
+    def test_a_generator_of_snrs_gives_the_tuple_report(self):
+        snrs = (0.0, 2.0, 6.0, 200.0)
+        assert agreement_report((snr for snr in snrs), 20_000, 3) == agreement_report(snrs, 20_000, 3)
+        with pytest.raises(ParameterError, match="^SNR must be >= 0, got -1.0$"):
+            agreement_report((snr for snr in (1.0, -1.0)), 100, 3)
+
     @pytest.mark.parametrize("snrs", [(0.0, 1.0, math.nan), (4.0, -1.0, 2.0)], ids=["nan-last", "negative"])
     def test_bad_snr_raises_before_drawing(self, monkeypatch, snrs):
         def no_draws(*args, **kwargs):
@@ -172,6 +202,11 @@ class TestBlockBoundaries:
 
 def exact_errors(u, amplitude):
     """Errors among rows of uniforms, every row scored by the documented construction."""
+    return int(np.count_nonzero(exact_decisions(u, amplitude)))
+
+
+def exact_decisions(u, amplitude):
+    """Whether each row of uniforms errs by the documented construction."""
     r1 = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     g1 = r1 * np.cos(2.0 * np.pi * u[:, 1])
     g2 = r1 * np.sin(2.0 * np.pi * u[:, 1])
@@ -179,7 +214,7 @@ def exact_errors(u, amplitude):
     g3 = r2 * np.cos(2.0 * np.pi * u[:, 3])
     g4 = r2 * np.sin(2.0 * np.pi * u[:, 3])
     with np.errstate(over="ignore"):
-        return int(np.count_nonzero(g3 ** 2 + g4 ** 2 > (amplitude + g1) ** 2 + g2 ** 2))
+        return g3 ** 2 + g4 ** 2 > (amplitude + g1) ** 2 + g2 ** 2
 
 
 def score_block(u, amplitudes):
@@ -189,8 +224,10 @@ def score_block(u, amplitudes):
 class TestCertifiedScoring:
     """Trials decided from g1 alone count as the comparison of every trial does."""
 
+    # The last list scores the largest amplitude, a = sqrt(2 161.99) ~ 18.0,
+    # so its blocks take the widest window.
     SNR_LISTS = [(0.0, 2.0, 0.0, 6.0), (16.0, 0.0, 4.0, 4.0, math.inf, 2.5),
-                 (8e307, 0.0, math.inf, 8.988465674311579e307, 1.0)]
+                 (8e307, 0.0, math.inf, 8.988465674311579e307, 1.0), (161.99, 162.0, 0.0)]
 
     @staticmethod
     def _exact_rows(monkeypatch):
@@ -262,8 +299,28 @@ class TestCertifiedScoring:
         assert seen == []
 
 
+def near_ties(amplitude, n=20_000):
+    """Rows at amplitude a whose exact decision differs from the sign of q - v
+    for the float32 g1, which lies more than 2 _TIE_SLACK from 0; and whether
+    that sign calls each an error. Each row ties the float64 v: u1 is the
+    phase that makes v = a (a + 2 g1) equal q = L2 - L1, to rounding."""
+    rng = np.random.Generator(np.random.Philox(35))
+    u = -np.expm1(-0.5 * rng.uniform(1.0, 73.4, (n, 2)))
+    l1, l2 = oracle._radius_squared(u[:, 0]), oracle._radius_squared(u[:, 1])
+    cos = ((l2 - l1) / amplitude - amplitude) / (2.0 * np.sqrt(l1))
+    keep = np.abs(cos) < 0.995
+    phase = np.arccos(cos[keep]) * rng.choice([-1.0, 1.0], keep.sum()) % (2.0 * np.pi)
+    rows = np.column_stack([u[keep, 0], phase / (2.0 * np.pi), u[keep, 1], rng.random(keep.sum())])
+    q = l2[keep] - l1[keep]
+    g1 = oracle._gaussian32(l1[keep], rows[:, 1], np.empty(len(rows)), np.empty(len(rows)))
+    v = (2.0 * g1 + amplitude) * amplitude
+    calls_error = v < q
+    flipped = (np.abs(q - v) > 2.0 * oracle._TIE_SLACK) & (exact_decisions(rows, amplitude) != calls_error)
+    return rows[flipped], calls_error[flipped]
+
+
 class TestTieWindow:
-    """The premises of the constant window ``_TIE_SLACK``."""
+    """The premises of the tie window ``_TIE_SLACK + a_max * _COS32_SLACK``."""
 
     @pytest.mark.parametrize("snrs", [(161.99999,), (0.0, 162.0, 16.0), (1e20, 161.99999, math.inf, 2.0),
                                       (math.inf, 162.0, 1e20)])
@@ -280,7 +337,8 @@ class TestTieWindow:
         assert all(a <= 18.0 for a in amplitudes)
         assert len(amplitudes) == sum(snr < 162.0 for snr in snrs)
 
-    def test_the_window_holds_the_per_trial_window(self):
+    @staticmethod
+    def _largest_per_trial_window():
         # The per-trial half-width that _TIE_SLACK replaced, 1e-9 (L2 + 2 L1 +
         # (a + |g1|)^2) in float steps, at its largest: both radii from the
         # largest draw 1 - 2^-53, g1 = sqrt(L1) at u1 = 0, and a = 18.
@@ -295,14 +353,52 @@ class TestTieWindow:
         slack += l1
         assert slack[0] < 927.0
         slack *= 1e-9
-        assert slack[0] <= oracle._TIE_SLACK
+        return slack[0]
 
-    def test_the_default_report_sends_two_rows_to_the_exact_path(self, monkeypatch):
+    def test_the_window_holds_the_per_trial_window(self):
+        assert self._largest_per_trial_window() <= oracle._TIE_SLACK
+
+    def test_the_widest_window_holds_the_float32_cos_bound(self):
+        # At a = 18 the float32 g1 moves v = a (a + 2 g1) by at most
+        # 2 x 18 x 8.6 x 2^-21; the window covers that beside the per-trial window.
+        window = oracle._TIE_SLACK + 18.0 * oracle._COS32_SLACK
+        assert window >= 2.0 * 18.0 * 8.6 * 2.0 ** -21 + self._largest_per_trial_window()
+
+    def test_the_float32_g1_is_within_its_bound(self):
+        # 2^20 drawn phases, and 0, the quarter turns and the largest draw with
+        # their float neighbours and the draws beside them: |g1 - the float64
+        # g1| <= sqrt(L1) 2^-21 on the installed numpy, and the two differ.
+        rng = np.random.Generator(np.random.Philox(35))
+        ends = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+        near = np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 2.0),
+                               ends - 2.0 ** -53, ends + 2.0 ** -53])
+        u1 = np.concatenate([rng.random(1 << 20), near[(near >= 0.0) & (near < 1.0)]])
+        u0 = rng.random(len(u1))
+        u0[-len(ends):] = 1.0 - 2.0 ** -53
+        l1 = oracle._radius_squared(u0)
+        error = np.abs(oracle._gaussian32(l1, u1, np.empty(len(u1)), np.empty(len(u1)))
+                       - oracle._gaussian(l1, u1, np.cos))
+        assert np.all(error <= np.sqrt(l1) * 2.0 ** -21)
+        assert np.any(error > 0.0)
+
+    @pytest.mark.parametrize("amplitude", [math.sqrt(2.0), math.sqrt(32.0), 16.0])
+    def test_rows_between_the_two_v_count_as_the_exact_construction(self, amplitude):
+        # Only the amplitude's _COS32_SLACK share of the window sends these rows
+        # to the exact path. No row can tie above a ~ 17.1, as a tie needs
+        # (a - sqrt(L1))^2 <= L2 < 73.5, so the widest window, a ~ 18's, is
+        # tried with a and 0 beside it: the block's largest amplitude sets it.
+        rows, calls_error = near_ties(amplitude)
+        for group in (rows[calls_error], rows[~calls_error]):
+            assert len(group) >= 20
+            assert score_block(group, [amplitude]) == [exact_errors(group, amplitude)]
+            assert score_block(group, [0.0, amplitude, 17.99]) == [exact_errors(group, a) for a in (0.0, amplitude, 17.99)]
+
+    def test_the_default_report_sends_38_rows_to_the_exact_path(self, monkeypatch):
         # 7 x 10^6 decisions, seed 42: a window wide enough to send whole
         # blocks to the exact path would show here.
         seen = TestCertifiedScoring._exact_rows(monkeypatch)
         agreement_report((0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0), 1_000_000, 42)
-        assert sum(seen) == 2
+        assert sum(seen) == 38
 
 
 class TestSplitRuns:
